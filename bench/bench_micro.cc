@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "buffer/lru_cache.h"
 #include "common/arena.h"
@@ -100,6 +102,23 @@ void BM_QuadraticFit(benchmark::State& state) {
 }
 BENCHMARK(BM_QuadraticFit);
 
+// One strategy call per iteration over a prebuilt index of `queries`
+// (taken in the given order) with a 2560-page pool.
+void AllocateLoop(benchmark::State& state,
+                  const rtq::core::AllocationStrategy& strategy,
+                  const std::vector<rtq::core::MemRequest>& queries) {
+  std::vector<rtq::core::EdIndex::Node> nodes(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) nodes[i].request = queries[i];
+  rtq::core::EdIndex index;
+  index.Assign(nodes.data(), nodes.size());
+  rtq::core::Allocation alloc;
+  for (auto _ : state) {
+    alloc.grants.clear();
+    strategy.Allocate(index, 2560, &alloc);
+    benchmark::DoNotOptimize(alloc.grants.data());
+  }
+}
+
 void BM_MinMaxAllocate(benchmark::State& state) {
   rtq::Rng rng(4);
   std::vector<rtq::core::MemRequest> queries;
@@ -116,9 +135,7 @@ void BM_MinMaxAllocate(benchmark::State& state) {
               return a.deadline < b.deadline;
             });
   rtq::core::MinMaxStrategy strategy(-1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(strategy.Allocate(queries, 2560));
-  }
+  AllocateLoop(state, strategy, queries);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MinMaxAllocate)->Arg(16)->Arg(128);
@@ -135,9 +152,7 @@ void BM_ProportionalAllocate(benchmark::State& state) {
     queries.push_back(q);
   }
   rtq::core::ProportionalStrategy strategy(-1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(strategy.Allocate(queries, 2560));
-  }
+  AllocateLoop(state, strategy, queries);
 }
 BENCHMARK(BM_ProportionalAllocate);
 
@@ -248,17 +263,26 @@ void BM_MemoryManagerReallocate(benchmark::State& state) {
 BENCHMARK(BM_MemoryManagerReallocate)->Arg(16)->Arg(128);
 
 // Arrival/completion churn at a standing population of `live` queries
-// under an MPL cap — the overloaded steady state where most of the
+// (arg 0) under the paper's strategy arg 1 (0 = Max, 1 = MinMax,
+// 2 = Proportional) — the overloaded steady state where most of the
 // population waits behind the admission frontier. Each iteration is one
-// completion (earliest deadline leaves: full recompute) plus one arrival
-// (latest deadline: eligible for the stable-tail fast path), the exact
-// membership churn the engine generates per finished query.
+// arrival plus one completion (the oldest query leaves), the membership
+// churn the engine generates per finished query. A recompute should
+// cost the same at 10 000 live as at 100: it scales with the admitted
+// queries, not the waiting ones.
+std::unique_ptr<rtq::core::AllocationStrategy> ChurnStrategy(int64_t kind) {
+  switch (kind) {
+    case 0: return std::make_unique<rtq::core::MaxStrategy>();
+    case 1: return std::make_unique<rtq::core::MinMaxStrategy>(-1);
+    default: return std::make_unique<rtq::core::ProportionalStrategy>(-1);
+  }
+}
+
 void BM_MemoryManagerChurn(benchmark::State& state) {
   const int64_t live = state.range(0);
   rtq::Rng rng(13);
-  rtq::core::MemoryManager mm(
-      2560, std::make_unique<rtq::core::MinMaxStrategy>(8),
-      [](rtq::QueryId, rtq::PageCount) {});
+  rtq::core::MemoryManager mm(2560, ChurnStrategy(state.range(1)),
+                              [](rtq::QueryId, rtq::PageCount) {});
   double now = 0.0;
   rtq::QueryId next_id = 0;
   std::deque<rtq::QueryId> fifo;
@@ -272,6 +296,7 @@ void BM_MemoryManagerChurn(benchmark::State& state) {
     mm.AddQuery(q);
   };
   for (int64_t i = 0; i < live; ++i) arrive();
+  const int64_t warm_recomputes = mm.recomputes();
   for (auto _ : state) {
     now += 1.0;
     arrive();
@@ -279,8 +304,13 @@ void BM_MemoryManagerChurn(benchmark::State& state) {
     fifo.pop_front();
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["recomputes_per_op"] =
+      static_cast<double>(mm.recomputes() - warm_recomputes) /
+      static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_MemoryManagerChurn)->Arg(32)->Arg(256);
+BENCHMARK(BM_MemoryManagerChurn)
+    ->ArgNames({"live", "strategy"})
+    ->ArgsProduct({{10, 100, 1000, 10000}, {0, 1, 2}});
 
 // Spec string -> policy instance through the registry: the dispatch
 // cost the PolicyRegistry redesign added to system construction (it

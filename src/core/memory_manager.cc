@@ -26,7 +26,7 @@ void MemoryManager::SetStrategy(
 }
 
 void MemoryManager::SetAdmissionGate(AdmissionGate* gate) {
-  RTQ_CHECK_MSG(queries_.empty(),
+  RTQ_CHECK_MSG(index_.empty(),
                 "admission gate must be installed on an empty manager");
   gate_ = gate;
   cache_valid_ = false;
@@ -39,17 +39,17 @@ void MemoryManager::SetAllocation(Entry& entry, PageCount pages) {
   apply_(entry.request.id, pages);
 }
 
-bool MemoryManager::InsertIsStable(const EdKey& key,
-                                   const MemRequest& request) const {
+bool MemoryManager::InsertIsStable(const MemRequest& request) const {
   if (reallocating_ || !cache_valid_) return false;
-  if (request.min_memory <= hint_.spare_min ||
-      request.max_memory <= hint_.spare_max) {
+  if (request.min_memory <= spare_min_ ||
+      request.max_memory <= spare_max_) {
     return false;  // the strategy might grant it something
   }
   if (frontier_is_end_) {
-    return !queries_.empty() && queries_.rbegin()->first < key;
+    return !index_.empty() &&
+           EdIndex::EdLess(index_.last()->request, request);
   }
-  return frontier_key_ < key;
+  return EdIndex::EdLess(frontier_, request);
 }
 
 void MemoryManager::AddQuery(const MemRequest& request) {
@@ -58,15 +58,13 @@ void MemoryManager::AddQuery(const MemRequest& request) {
                 "invalid memory demands");
   RTQ_CHECK_MSG(request.max_memory <= total_,
                 "query demands more memory than the machine has");
-  EdKey key{request.deadline, request.id};
   // Decide the fast path before the insert mutates the ED order.
-  bool stable = InsertIsStable(key, request);
-  auto [id_it, id_inserted] = by_id_.emplace(request.id, key);
-  RTQ_CHECK_MSG(id_inserted, "duplicate query id");
-  (void)id_it;
-  auto [it, inserted] = queries_.emplace(key, Entry{request, 0});
-  RTQ_CHECK(inserted);
-  (void)it;
+  bool stable = InsertIsStable(request);
+  auto [it, inserted] = by_id_.try_emplace(request.id);
+  RTQ_CHECK_MSG(inserted, "duplicate query id");
+  Entry& entry = it->second;
+  entry.request = request;
+  index_.Insert(&entry);
   // Fast path: the request parks in the denied tail with no allocation
   // and nobody else moves; the cached hint stays valid (the admission
   // frontier is untouched). No apply callbacks would have fired.
@@ -75,21 +73,28 @@ void MemoryManager::AddQuery(const MemRequest& request) {
 }
 
 void MemoryManager::RemoveQuery(QueryId id) {
-  auto id_it = by_id_.find(id);
-  RTQ_CHECK_MSG(id_it != by_id_.end(), "RemoveQuery: unknown query");
-  auto it = queries_.find(id_it->second);
-  RTQ_DCHECK(it != queries_.end());
-  PageCount held = it->second.allocation;
+  RTQ_CHECK_MSG(!reallocating_, "RemoveQuery inside an apply callback");
+  auto it = by_id_.find(id);
+  RTQ_CHECK_MSG(it != by_id_.end(), "RemoveQuery: unknown query");
+  Entry& entry = it->second;
+  PageCount held = entry.allocation;
   // Fast path: dropping a zero-allocation query from strictly behind the
   // admission frontier cannot move the frontier or free memory, so every
   // other allocation is provably unchanged.
-  bool stable = !reallocating_ && cache_valid_ && held == 0 &&
-                !frontier_is_end_ && frontier_key_ < it->first;
-  if (gate_ != nullptr && held > 0) gate_->Release();
-  allocated_sum_ -= held;
-  admitted_count_ -= held > 0;
-  queries_.erase(it);
-  by_id_.erase(id_it);
+  bool stable = cache_valid_ && held == 0 && !frontier_is_end_ &&
+                EdIndex::EdLess(frontier_, entry.request);
+  if (held > 0) {
+    if (gate_ != nullptr) gate_->Release();
+    allocated_sum_ -= held;
+    --admitted_count_;
+    (entry.prev_admitted != nullptr ? entry.prev_admitted->next_admitted
+                                    : admitted_head_) = entry.next_admitted;
+    if (entry.next_admitted != nullptr) {
+      entry.next_admitted->prev_admitted = entry.prev_admitted;
+    }
+  }
+  index_.Erase(&entry);
+  by_id_.erase(it);
   // Tell the receiver the query's pages are gone before anyone else
   // is granted them (keeps external accounting conservative).
   if (held > 0) apply_(id, 0);
@@ -97,9 +102,36 @@ void MemoryManager::RemoveQuery(QueryId id) {
   Reallocate();
 }
 
+void MemoryManager::BuildDiff() {
+  diff_.clear();
+  PageCount sum = 0;
+  Entry* old = admitted_head_;
+  const Entry* prev = nullptr;
+  for (const Grant& grant : alloc_.grants) {
+    Entry* entry = AsEntry(grant.query);
+    RTQ_CHECK_MSG(grant.pages >= 0, "negative allocation from strategy");
+    RTQ_CHECK_MSG(grant.pages <= entry->request.max_memory,
+                  "strategy exceeded a query's maximum");
+    RTQ_CHECK_MSG(prev == nullptr ||
+                      EdIndex::EdLess(prev->request, entry->request),
+                  "strategy grants out of ED order");
+    prev = entry;
+    sum += grant.pages;
+    // Previously admitted queries the strategy skipped drop to zero.
+    while (old != nullptr && EdIndex::EdLess(old->request, entry->request)) {
+      diff_.push_back({old, 0});
+      old = old->next_admitted;
+    }
+    if (old == entry) old = old->next_admitted;
+    diff_.push_back({entry, grant.pages});
+  }
+  for (; old != nullptr; old = old->next_admitted) diff_.push_back({old, 0});
+  RTQ_CHECK_MSG(sum <= total_, "strategy oversubscribed the pool");
+}
+
 void MemoryManager::Reallocate() {
-  // An apply callback may complete a query synchronously in principle;
-  // defer nested reallocation requests to the outermost call.
+  // An apply callback may add a query or switch strategy; defer nested
+  // reallocation requests to the outermost call.
   if (reallocating_) {
     realloc_again_ = true;
     return;
@@ -110,69 +142,57 @@ void MemoryManager::Reallocate() {
     cache_valid_ = false;
     ++recomputes_;
 
-    ed_scratch_.clear();
-    key_scratch_.clear();
-    ed_scratch_.reserve(queries_.size());
-    key_scratch_.reserve(queries_.size());
-    for (const auto& [key, entry] : queries_) {
-      ed_scratch_.push_back(entry.request);
-      key_scratch_.push_back(key);
-    }
-
-    StableTailHint hint;
-    strategy_->AllocateInto(ed_scratch_, total_, &alloc_scratch_, &hint);
-    const AllocationVector& alloc = alloc_scratch_;
-    RTQ_CHECK(alloc.size() == ed_scratch_.size());
-
-    size_t i = 0;
-    PageCount sum = 0;
-    for (auto& [key, entry] : queries_) {
-      RTQ_CHECK_MSG(alloc[i] >= 0, "negative allocation from strategy");
-      RTQ_CHECK_MSG(alloc[i] <= entry.request.max_memory,
-                    "strategy exceeded a query's maximum");
-      sum += alloc[i];
-      ++i;
-    }
-    RTQ_CHECK_MSG(sum <= total_, "strategy oversubscribed the pool");
+    alloc_.grants.clear();
+    alloc_.hint = StableTailHint{};
+    strategy_->Allocate(index_, total_, &alloc_);
+    // Queries outside (admitted list ∪ grants) stay at zero: the diff
+    // visits only the union, in ED order.
+    BuildDiff();
 
     // Gate pass: release the slots of queries this recompute demotes to
     // zero, then claim one slot per would-be admission in ED order —
     // refused queries are vetoed back to zero (the strategy's pages for
     // them simply go unused this round; they retry on every recompute).
     if (gate_ != nullptr) {
-      size_t i = 0;
-      for (auto& [key, entry] : queries_) {
-        if (alloc[i] == 0 && entry.allocation > 0) gate_->Release();
-        ++i;
+      for (const Change& c : diff_) {
+        if (c.pages == 0 && c.entry->allocation > 0) gate_->Release();
       }
-      i = 0;
-      for (auto& [key, entry] : queries_) {
-        if (alloc[i] > 0 && entry.allocation == 0 && !gate_->TryAcquire()) {
-          alloc_scratch_[i] = 0;
+      for (Change& c : diff_) {
+        if (c.pages > 0 && c.entry->allocation == 0 && !gate_->TryAcquire()) {
+          c.pages = 0;
         }
-        ++i;
       }
     }
 
     // Apply shrinks before grows so the pool never oversubscribes.
-    i = 0;
-    for (auto& [key, entry] : queries_) {
-      if (alloc[i] < entry.allocation) SetAllocation(entry, alloc[i]);
-      ++i;
+    for (const Change& c : diff_) {
+      if (c.pages < c.entry->allocation) SetAllocation(*c.entry, c.pages);
     }
-    i = 0;
-    for (auto& [key, entry] : queries_) {
-      if (alloc[i] > entry.allocation) SetAllocation(entry, alloc[i]);
-      ++i;
+    for (const Change& c : diff_) {
+      if (c.pages > c.entry->allocation) SetAllocation(*c.entry, c.pages);
+    }
+
+    // Relink the admitted list from the diff, which already is in ED
+    // order and holds every query that can have pages now.
+    Entry* tail = nullptr;
+    admitted_head_ = nullptr;
+    for (const Change& c : diff_) {
+      if (c.entry->allocation == 0) continue;
+      c.entry->prev_admitted = tail;
+      c.entry->next_admitted = nullptr;
+      (tail != nullptr ? tail->next_admitted : admitted_head_) = c.entry;
+      tail = c.entry;
     }
 
     // Cache the strategy's stable-tail proof for the fast paths; only
     // when this pass is final (a deferred nested request means the state
     // already moved under us).
+    const StableTailHint& hint = alloc_.hint;
     if (!realloc_again_ && hint.valid && gate_ == nullptr) {
-      hint_ = hint;
-      frontier_is_end_ = hint.from >= key_scratch_.size();
-      if (!frontier_is_end_) frontier_key_ = key_scratch_[hint.from];
+      spare_min_ = hint.spare_min;
+      spare_max_ = hint.spare_max;
+      frontier_is_end_ = hint.from == nullptr;
+      if (!frontier_is_end_) frontier_ = hint.from->request;
       cache_valid_ = true;
     }
   } while (realloc_again_);
@@ -180,11 +200,8 @@ void MemoryManager::Reallocate() {
 }
 
 PageCount MemoryManager::allocation_of(QueryId id) const {
-  auto id_it = by_id_.find(id);
-  if (id_it == by_id_.end()) return 0;
-  auto it = queries_.find(id_it->second);
-  RTQ_DCHECK(it != queries_.end());
-  return it->second.allocation;
+  auto it = by_id_.find(id);
+  return it == by_id_.end() ? 0 : it->second.allocation;
 }
 
 }  // namespace rtq::core

@@ -7,19 +7,27 @@
 // between maximum, minimum, or no allocation as higher-priority queries
 // enter and leave the system".
 //
-// Steady-state churn takes an incremental path: strategies publish a
+// A recompute costs O(admitted + changed + log live), not O(live):
+//
+//  * live queries sit in an EdIndex (ed_index.h), an ED-ordered treap
+//    that strategies walk only up to their admission frontier, and that
+//    lets Max-with-bypass jump between requests that fit;
+//  * strategies answer with sparse grants, and the apply diff visits
+//    only the union of the previously admitted queries (an ED-ordered
+//    intrusive list) and the new grants.
+//
+// Steady-state churn skips even that: strategies publish a
 // StableTailHint (strategy.h) proving that requests sorting behind the
 // admission frontier neither receive memory nor disturb anyone else, so
 // an arrival that lands in that dead zone — or the removal of a waiting
-// query parked there — skips the O(live queries) recompute entirely.
-// The fast paths are pure early-outs: every allocation and every apply
-// callback is bit-identical to what the full recompute would produce.
+// query parked there — triggers no recompute at all. Every allocation
+// and every apply and gate callback is bit-identical to a full
+// recompute over the whole live list on every change.
 
 #ifndef RTQ_CORE_MEMORY_MANAGER_H_
 #define RTQ_CORE_MEMORY_MANAGER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -27,6 +35,7 @@
 
 #include "common/pool.h"
 #include "common/types.h"
+#include "core/ed_index.h"
 #include "core/strategy.h"
 
 namespace rtq::core {
@@ -70,7 +79,8 @@ class MemoryManager {
   void AddQuery(const MemRequest& request);
 
   /// Deregisters a completed/aborted query and reallocates. The apply
-  /// callback first sees (id, 0) if the query still held pages.
+  /// callback first sees (id, 0) if the query still held pages. Must not
+  /// be called from inside an apply callback.
   void RemoveQuery(QueryId id);
 
   /// Recomputes allocations with the current strategy (idempotent).
@@ -85,7 +95,7 @@ class MemoryManager {
   int64_t admitted_count() const { return admitted_count_; }
   /// Queries registered but currently at zero allocation.
   int64_t waiting_count() const { return live_count() - admitted_count_; }
-  int64_t live_count() const { return static_cast<int64_t>(queries_.size()); }
+  int64_t live_count() const { return static_cast<int64_t>(index_.size()); }
   /// Full strategy recomputations performed so far. Membership changes
   /// absorbed by the StableTailHint fast paths do not count — the gap
   /// between membership changes and recomputes() measures how often a
@@ -94,49 +104,51 @@ class MemoryManager {
   PageCount allocation_of(QueryId id) const;
 
  private:
-  struct Entry {
-    MemRequest request;
+  /// One live query: its slot in the ED index plus its admitted-list
+  /// links (ED order, members hold allocation > 0).
+  struct Entry : EdIndex::Node {
     PageCount allocation = 0;
+    Entry* prev_admitted = nullptr;
+    Entry* next_admitted = nullptr;
   };
 
-  /// Key giving Earliest-Deadline order with deterministic tie-break.
-  struct EdKey {
-    SimTime deadline = kNoDeadline;
-    QueryId id = kInvalidQueryId;
-    bool operator<(const EdKey& o) const {
-      if (deadline != o.deadline) return deadline < o.deadline;
-      return id < o.id;
-    }
+  /// One query the apply diff visits, with its new allocation.
+  struct Change {
+    Entry* entry;
+    PageCount pages;
   };
+
+  static Entry* AsEntry(const EdIndex::Node* node) {
+    return static_cast<Entry*>(const_cast<EdIndex::Node*>(node));
+  }
 
   /// Records an allocation change and forwards it to the apply callback.
   void SetAllocation(Entry& entry, PageCount pages);
 
-  /// True when the cached hint proves that inserting `key`/`request`
-  /// changes no existing allocation and grants nothing.
-  bool InsertIsStable(const EdKey& key, const MemRequest& request) const;
+  /// Merges the admitted list with the strategy's grants into diff_ (ED
+  /// order), checking every grant.
+  void BuildDiff();
+
+  /// True when the cached hint proves that inserting `request` changes
+  /// no existing allocation and grants nothing.
+  bool InsertIsStable(const MemRequest& request) const;
 
   PageCount total_;
   std::unique_ptr<AllocationStrategy> strategy_;
   ApplyFn apply_;
   AdmissionGate* gate_ = nullptr;
-  // Both membership maps recycle their nodes through a pool, so
-  // steady-state arrival/retire churn costs no heap allocation. The pool
-  // outlives (is declared before) the containers that use it.
+  // Entries live in the id map's nodes (stable addresses), which recycle
+  // through a pool, so steady-state arrival/retire churn costs no heap
+  // allocation. The pool outlives (is declared before) the map.
   NodePool node_pool_;
-  using QueryMap =
-      std::map<EdKey, Entry, std::less<EdKey>,
-               PoolAllocator<std::pair<const EdKey, Entry>>>;
-  using ByIdMap =
-      std::unordered_map<QueryId, EdKey, std::hash<QueryId>,
+  using ById =
+      std::unordered_map<QueryId, Entry, std::hash<QueryId>,
                          std::equal_to<QueryId>,
-                         PoolAllocator<std::pair<const QueryId, EdKey>>>;
-  QueryMap queries_{std::less<EdKey>(),
-                    PoolAllocator<std::pair<const EdKey, Entry>>(
-                        &node_pool_)};  // ED-ordered
-  ByIdMap by_id_{8, std::hash<QueryId>(), std::equal_to<QueryId>(),
-                 PoolAllocator<std::pair<const QueryId, EdKey>>(
-                     &node_pool_)};  // O(1) id -> ED position
+                         PoolAllocator<std::pair<const QueryId, Entry>>>;
+  ById by_id_{8, std::hash<QueryId>(), std::equal_to<QueryId>(),
+              PoolAllocator<std::pair<const QueryId, Entry>>(&node_pool_)};
+  EdIndex index_;                   // every entry, ED order
+  Entry* admitted_head_ = nullptr;  // entries with allocation > 0
   PageCount allocated_sum_ = 0;   // invariant: sum of entry.allocation
   int64_t admitted_count_ = 0;    // invariant: #entries with allocation > 0
   int64_t recomputes_ = 0;
@@ -146,16 +158,17 @@ class MemoryManager {
   // --- incremental-reallocation cache ------------------------------------
   // Valid between a full recompute and the next change it cannot absorb.
   bool cache_valid_ = false;
-  StableTailHint hint_;
-  /// Key of the element at ED position hint_.from when the hint was
-  /// computed; `frontier_is_end_` means hint_.from == live_count() there
-  /// (only inserts sorting after *every* live query qualify).
-  EdKey frontier_key_;
+  PageCount spare_min_ = -1;  // the cached StableTailHint thresholds
+  PageCount spare_max_ = -1;
+  /// The hint's frontier request when the hint was computed (only its
+  /// ED position matters); `frontier_is_end_` means the frontier was
+  /// past the last live query (only inserts sorting after *every* live
+  /// query qualify).
+  MemRequest frontier_;
   bool frontier_is_end_ = false;
-  // Scratch buffers reused across recomputes to avoid allocation churn.
-  std::vector<MemRequest> ed_scratch_;
-  std::vector<EdKey> key_scratch_;
-  AllocationVector alloc_scratch_;
+  // Scratch reused across recomputes so steady state allocates nothing.
+  Allocation alloc_;
+  std::vector<Change> diff_;
 };
 
 }  // namespace rtq::core

@@ -14,7 +14,14 @@ FairOrderingStrategy::FairOrderingStrategy(
   RTQ_CHECK(inner_ != nullptr);
 }
 
-AllocationVector FairOrderingStrategy::Allocate(
+void FairOrderingStrategy::Allocate(const EdIndex& live, PageCount total,
+                                   Allocation* out) const {
+  AllocateMaterialized(live, out, [&](const std::vector<MemRequest>& ed) {
+    return Reordered(ed, total);
+  });
+}
+
+AllocationVector FairOrderingStrategy::Reordered(
     const std::vector<MemRequest>& ed_sorted, PageCount total) const {
   // Compute virtual deadlines and a permutation sorted by them.
   std::vector<size_t> order(ed_sorted.size());
@@ -38,7 +45,7 @@ AllocationVector FairOrderingStrategy::Allocate(
   reordered.reserve(ed_sorted.size());
   for (size_t idx : order) reordered.push_back(ed_sorted[idx]);
 
-  AllocationVector inner_out = inner_->Allocate(reordered, total);
+  AllocationVector inner_out = AllocateDense(*inner_, reordered, total);
   AllocationVector out(ed_sorted.size(), 0);
   for (size_t i = 0; i < order.size(); ++i) out[order[i]] = inner_out[i];
   return out;

@@ -38,11 +38,16 @@ class FairOrderingStrategy : public AllocationStrategy {
   FairOrderingStrategy(std::unique_ptr<AllocationStrategy> inner,
                        std::vector<double> class_urgency);
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override;
   std::string name() const override;
 
  private:
+  /// The inner strategy's allocation of `ed_sorted` taken in
+  /// virtual-deadline order, scattered back to ED positions.
+  AllocationVector Reordered(const std::vector<MemRequest>& ed_sorted,
+                             PageCount total) const;
+
   std::unique_ptr<AllocationStrategy> inner_;
   std::vector<double> class_urgency_;
 };

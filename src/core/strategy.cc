@@ -5,74 +5,104 @@
 #include "common/check.h"
 
 namespace rtq::core {
+namespace {
 
-AllocationVector AllocateThroughFilter(
-    const AllocationStrategy& inner, const std::vector<MemRequest>& ed_sorted,
-    PageCount total, const std::function<bool(const MemRequest&)>& keep,
-    StableTailHint* hint) {
-  // Record rejects only: `keep` may be stateful, so it runs exactly once
-  // per request, and the common everything-kept reallocation pays no
-  // copy of the request vector.
-  std::vector<size_t> rejected;
-  for (size_t i = 0; i < ed_sorted.size(); ++i) {
-    if (!keep(ed_sorted[i])) rejected.push_back(i);
+/// Emits dense[i] != 0 as a grant to nodes[i] (negative entries too, so
+/// MemoryManager's bounds checks see them).
+void EmitDense(const std::vector<const EdIndex::Node*>& nodes,
+               const AllocationVector& dense, Allocation* out) {
+  RTQ_CHECK_MSG(dense.size() == nodes.size(),
+                "strategy must return one allocation per request");
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (dense[i] != 0) out->grants.push_back({nodes[i], dense[i]});
   }
-  if (rejected.empty()) {
-    return inner.AllocateWithHint(ed_sorted, total, hint);
-  }
-  *hint = StableTailHint{};
-  std::vector<MemRequest> kept;
-  std::vector<size_t> position;  // kept index -> ed_sorted index
-  kept.reserve(ed_sorted.size() - rejected.size());
-  position.reserve(ed_sorted.size() - rejected.size());
-  size_t next_reject = 0;
-  for (size_t i = 0; i < ed_sorted.size(); ++i) {
-    if (next_reject < rejected.size() && rejected[next_reject] == i) {
-      ++next_reject;
-      continue;
-    }
-    kept.push_back(ed_sorted[i]);
-    position.push_back(i);
-  }
-  AllocationVector inner_out = inner.Allocate(kept, total);
-  AllocationVector out(ed_sorted.size(), 0);
-  for (size_t i = 0; i < position.size(); ++i) {
-    out[position[i]] = inner_out[i];
-  }
+}
+
+}  // namespace
+
+AllocationVector AllocateDense(const AllocationStrategy& strategy,
+                               const std::vector<MemRequest>& ordered,
+                               PageCount total) {
+  std::vector<EdIndex::Node> nodes(ordered.size());
+  for (size_t i = 0; i < ordered.size(); ++i) nodes[i].request = ordered[i];
+  EdIndex index;
+  index.Assign(nodes.data(), nodes.size());
+  Allocation alloc;
+  strategy.Allocate(index, total, &alloc);
+  AllocationVector out(ordered.size(), 0);
+  for (const Grant& g : alloc.grants) out[g.query - nodes.data()] = g.pages;
   return out;
 }
 
-AllocationVector MaxStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
-  StableTailHint hint;
-  return AllocateWithHint(ed_sorted, total, &hint);
+void AllocateMaterialized(
+    const EdIndex& live, Allocation* out,
+    const std::function<AllocationVector(const std::vector<MemRequest>&)>&
+        dense) {
+  std::vector<MemRequest> requests;
+  std::vector<const EdIndex::Node*> nodes;
+  requests.reserve(live.size());
+  nodes.reserve(live.size());
+  for (const EdIndex::Node* n = live.first(); n != nullptr;
+       n = EdIndex::Next(n)) {
+    requests.push_back(n->request);
+    nodes.push_back(n);
+  }
+  EmitDense(nodes, dense(requests), out);
 }
 
-AllocationVector MaxStrategy::AllocateWithHint(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    StableTailHint* hint) const {
-  AllocationVector result;
-  AllocateInto(ed_sorted, total, &result, hint);
-  return result;
+void AllocateThroughFilter(const AllocationStrategy& inner,
+                           const EdIndex& live, PageCount total,
+                           const std::function<bool(const MemRequest&)>& keep,
+                           Allocation* out) {
+  // Record rejects only: `keep` may be stateful, so it runs exactly once
+  // per request, and the common everything-kept reallocation copies
+  // nothing.
+  std::vector<const EdIndex::Node*> rejected;
+  for (const EdIndex::Node* n = live.first(); n != nullptr;
+       n = EdIndex::Next(n)) {
+    if (!keep(n->request)) rejected.push_back(n);
+  }
+  if (rejected.empty()) {
+    inner.Allocate(live, total, out);
+    return;
+  }
+  std::vector<MemRequest> kept;
+  std::vector<const EdIndex::Node*> kept_nodes;
+  kept.reserve(live.size() - rejected.size());
+  kept_nodes.reserve(live.size() - rejected.size());
+  size_t next_reject = 0;
+  for (const EdIndex::Node* n = live.first(); n != nullptr;
+       n = EdIndex::Next(n)) {
+    if (next_reject < rejected.size() && rejected[next_reject] == n) {
+      ++next_reject;
+      continue;
+    }
+    kept.push_back(n->request);
+    kept_nodes.push_back(n);
+  }
+  EmitDense(kept_nodes, AllocateDense(inner, kept, total), out);
 }
 
-void MaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
-                               PageCount total, AllocationVector* out_vec,
-                               StableTailHint* hint) const {
-  out_vec->assign(ed_sorted.size(), 0);
-  AllocationVector& out = *out_vec;
+void MaxStrategy::Allocate(const EdIndex& live, PageCount total,
+                           Allocation* out) const {
   PageCount remaining = total;
-  size_t frontier = ed_sorted.size();
-  for (size_t i = 0; i < ed_sorted.size(); ++i) {
-    const MemRequest& q = ed_sorted[i];
-    RTQ_DCHECK(q.max_memory >= q.min_memory && q.min_memory >= 0);
-    if (q.max_memory <= remaining) {
-      out[i] = q.max_memory;
-      remaining -= q.max_memory;
-    } else if (!bypass_blocked_) {
-      // Strict ED: nobody may jump over a blocked higher-priority query.
-      frontier = i;
-      break;
+  const EdIndex::Node* frontier = nullptr;
+  if (bypass_blocked_) {
+    // Every request that fits in what is left gets its maximum, in ED
+    // order: hop straight to the next one that fits.
+    for (const EdIndex::Node* q = live.NextFitting(nullptr, remaining);
+         q != nullptr; q = live.NextFitting(q, remaining)) {
+      out->grants.push_back({q, q->request.max_memory});
+      remaining -= q->request.max_memory;
+    }
+  } else {
+    // Strict ED: nobody may jump over a blocked higher-priority query.
+    frontier = live.first();
+    while (frontier != nullptr &&
+           frontier->request.max_memory <= remaining) {
+      out->grants.push_back({frontier, frontier->request.max_memory});
+      remaining -= frontier->request.max_memory;
+      frontier = EdIndex::Next(frontier);
     }
   }
   // Bypass mode considers every request, so only an insert sorting after
@@ -80,69 +110,47 @@ void MaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
   // blocked request, so anything behind that block is. Either way a
   // request whose maximum exceeds the leftover at the stop point gets
   // nothing and changes nothing.
-  hint->valid = true;
-  hint->from = frontier;
-  hint->spare_min = -1;
-  hint->spare_max = remaining;
+  out->hint.valid = true;
+  out->hint.from = frontier;
+  out->hint.spare_min = -1;
+  out->hint.spare_max = remaining;
 }
 
 std::string MaxStrategy::name() const {
   return bypass_blocked_ ? "Max" : "Max(strict)";
 }
 
-AllocationVector MinMaxStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
-  StableTailHint hint;
-  return AllocateWithHint(ed_sorted, total, &hint);
-}
-
-AllocationVector MinMaxStrategy::AllocateWithHint(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    StableTailHint* hint) const {
-  AllocationVector result;
-  AllocateInto(ed_sorted, total, &result, hint);
-  return result;
-}
-
-void MinMaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
-                                  PageCount total, AllocationVector* out_vec,
-                                  StableTailHint* hint) const {
-  out_vec->assign(ed_sorted.size(), 0);
-  AllocationVector& out = *out_vec;
-  size_t limit = mpl_limit_ < 0
-                     ? ed_sorted.size()
-                     : std::min<size_t>(ed_sorted.size(),
-                                        static_cast<size_t>(mpl_limit_));
+void MinMaxStrategy::Allocate(const EdIndex& live, PageCount total,
+                              Allocation* out) const {
+  std::vector<Grant>& grants = out->grants;
   // Pass 1: minimum allocations in ED order, until memory or the MPL
   // limit runs out. Strict priority: stop at the first query whose
   // minimum does not fit.
   PageCount remaining = total;
-  size_t admitted = 0;
-  for (size_t i = 0; i < limit; ++i) {
-    const MemRequest& q = ed_sorted[i];
-    if (q.min_memory > remaining) break;
-    out[i] = q.min_memory;
-    remaining -= q.min_memory;
-    admitted = i + 1;
+  int64_t admitted = 0;
+  const EdIndex::Node* q = live.first();
+  for (; q != nullptr && (mpl_limit_ < 0 || admitted < mpl_limit_);
+       q = EdIndex::Next(q)) {
+    if (q->request.min_memory > remaining) break;
+    grants.push_back({q, q->request.min_memory});
+    remaining -= q->request.min_memory;
+    ++admitted;
   }
   // A request behind the admission frontier is never reached when the
   // MPL cap closed admission (spare_min = -1: deny all), and otherwise
   // is denied — becoming the new pass-1 breaker — iff its minimum
   // exceeds the pass-1 leftover.
-  hint->valid = true;
-  hint->from = admitted;
-  hint->spare_min =
-      (mpl_limit_ >= 0 && admitted == static_cast<size_t>(mpl_limit_))
-          ? -1
-          : remaining;
-  hint->spare_max = -1;
+  out->hint.valid = true;
+  out->hint.from = q;
+  out->hint.spare_min = admitted == mpl_limit_ ? -1 : remaining;
+  out->hint.spare_max = -1;
   // Pass 2: top up to maximum in ED order. The last query topped up may
   // land between its minimum and maximum ("the query that gets the last
   // few memory pages", Section 3.2).
-  for (size_t i = 0; i < admitted && remaining > 0; ++i) {
-    PageCount want = ed_sorted[i].max_memory - out[i];
+  for (size_t i = 0; i < grants.size() && remaining > 0; ++i) {
+    PageCount want = grants[i].query->request.max_memory - grants[i].pages;
     PageCount grant = std::min(want, remaining);
-    out[i] += grant;
+    grants[i].pages += grant;
     remaining -= grant;
   }
 }
@@ -152,48 +160,28 @@ std::string MinMaxStrategy::name() const {
   return "MinMax-" + std::to_string(mpl_limit_);
 }
 
-AllocationVector ProportionalStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
-  StableTailHint hint;
-  return AllocateWithHint(ed_sorted, total, &hint);
-}
-
-AllocationVector ProportionalStrategy::AllocateWithHint(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    StableTailHint* hint) const {
-  AllocationVector result;
-  AllocateInto(ed_sorted, total, &result, hint);
-  return result;
-}
-
-void ProportionalStrategy::AllocateInto(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    AllocationVector* out_vec, StableTailHint* hint) const {
-  out_vec->assign(ed_sorted.size(), 0);
-  AllocationVector& out = *out_vec;
-  size_t limit = mpl_limit_ < 0
-                     ? ed_sorted.size()
-                     : std::min<size_t>(ed_sorted.size(),
-                                        static_cast<size_t>(mpl_limit_));
+void ProportionalStrategy::Allocate(const EdIndex& live, PageCount total,
+                                    Allocation* out) const {
+  std::vector<Grant>& grants = out->grants;
   // Admit the longest ED prefix whose minimum demands fit.
   PageCount min_sum = 0;
-  size_t admitted = 0;
-  for (size_t i = 0; i < limit; ++i) {
-    if (min_sum + ed_sorted[i].min_memory > total) break;
-    min_sum += ed_sorted[i].min_memory;
-    admitted = i + 1;
+  int64_t admitted = 0;
+  const EdIndex::Node* q = live.first();
+  for (; q != nullptr && (mpl_limit_ < 0 || admitted < mpl_limit_);
+       q = EdIndex::Next(q)) {
+    if (min_sum + q->request.min_memory > total) break;
+    min_sum += q->request.min_memory;
+    grants.push_back({q, 0});
+    ++admitted;
   }
   // Same frontier reasoning as MinMax: a denied insert at/behind the
   // frontier leaves the admitted prefix — and hence the fitted fraction
   // below — untouched.
-  hint->valid = true;
-  hint->from = admitted;
-  hint->spare_min =
-      (mpl_limit_ >= 0 && admitted == static_cast<size_t>(mpl_limit_))
-          ? -1
-          : total - min_sum;
-  hint->spare_max = -1;
-  if (admitted == 0) return;
+  out->hint.valid = true;
+  out->hint.from = q;
+  out->hint.spare_min = admitted == mpl_limit_ ? -1 : total - min_sum;
+  out->hint.spare_max = -1;
+  if (grants.empty()) return;
 
   // Find the largest fraction f in [0, 1] such that
   //   sum_i max(min_i, f * max_i) <= total.
@@ -201,10 +189,10 @@ void ProportionalStrategy::AllocateInto(
   // search converges well below one page of slack in 50 iterations.
   auto need = [&](double f) {
     double sum = 0.0;
-    for (size_t i = 0; i < admitted; ++i) {
-      const MemRequest& q = ed_sorted[i];
-      sum += std::max(static_cast<double>(q.min_memory),
-                      f * static_cast<double>(q.max_memory));
+    for (const Grant& g : grants) {
+      const MemRequest& r = g.query->request;
+      sum += std::max(static_cast<double>(r.min_memory),
+                      f * static_cast<double>(r.max_memory));
     }
     return sum;
   };
@@ -221,12 +209,12 @@ void ProportionalStrategy::AllocateInto(
       }
     }
   }
-  for (size_t i = 0; i < admitted; ++i) {
-    const MemRequest& q = ed_sorted[i];
+  for (Grant& g : grants) {
+    const MemRequest& r = g.query->request;
     PageCount alloc = std::max(
-        q.min_memory, static_cast<PageCount>(
-                          lo * static_cast<double>(q.max_memory)));
-    out[i] = std::min(alloc, q.max_memory);
+        r.min_memory, static_cast<PageCount>(
+                          lo * static_cast<double>(r.max_memory)));
+    g.pages = std::min(alloc, r.max_memory);
   }
 }
 

@@ -11,6 +11,10 @@
 //                    the same percentage of their maximum demand, floored
 //                    at their minimum.
 //
+// All three walk the ED index only up to their admission frontier, and
+// Max-with-bypass hops from one fitting request to the next through the
+// index, so a reallocation costs O(admitted · log live), never O(live).
+//
 // PMM itself is not a strategy here: it is a controller (pmm.h) that
 // dynamically switches the memory manager between Max and MinMax-N.
 
@@ -20,8 +24,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/allocation.h"
+#include "core/ed_index.h"
 
 namespace rtq::core {
 
@@ -29,10 +35,10 @@ namespace rtq::core {
 /// recomputation for steady-state membership churn. When `valid`, the
 /// strategy certifies that, against the exact input it just allocated:
 ///
-///  * inserting a request at ED position >= `from` whose min_memory >
+///  * inserting a request sorting after `from` whose min_memory >
 ///    `spare_min` AND max_memory > `spare_max` would receive no
 ///    allocation and leave every other allocation unchanged, and
-///  * removing a zero-allocation request at ED position > `from` would
+///  * removing a zero-allocation request sorting after `from` would
 ///    leave every other allocation unchanged.
 ///
 /// Both properties survive any sequence of such inserts/removals (the
@@ -43,60 +49,76 @@ namespace rtq::core {
 /// on every change, which is always correct.
 struct StableTailHint {
   bool valid = false;
-  /// ED position of the admission frontier (== input size when every
-  /// request was considered, e.g. Max-with-bypass).
-  size_t from = 0;
+  /// The admission frontier: the first request the strategy did not
+  /// admit in ED order. Null when every request was considered (e.g.
+  /// Max-with-bypass), so only inserts sorting after the whole list
+  /// qualify.
+  const EdIndex::Node* from = nullptr;
   PageCount spare_min = -1;
   PageCount spare_max = -1;
+};
+
+/// One admitted query's share of the pool.
+struct Grant {
+  const EdIndex::Node* query = nullptr;
+  PageCount pages = 0;
+};
+
+/// A strategy's answer for one reallocation: who gets memory, and the
+/// stable-tail proof. Queries without a grant get nothing.
+struct Allocation {
+  /// Strictly increasing ED order, at most one grant per query.
+  std::vector<Grant> grants;
+  StableTailHint hint;
 };
 
 class AllocationStrategy {
  public:
   virtual ~AllocationStrategy() = default;
 
-  /// Computes allocations for `ed_sorted` (Earliest-Deadline order) from a
-  /// pool of `total` pages. Returns one entry per input, 0 = not admitted.
-  virtual AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total) const = 0;
-
-  /// Like Allocate(), but also fills `hint` (never null) with the
-  /// strategy's stable-tail proof. The default emits an invalid hint, so
-  /// third-party strategies stay correct without opting in.
-  virtual AllocationVector AllocateWithHint(
-      const std::vector<MemRequest>& ed_sorted, PageCount total,
-      StableTailHint* hint) const {
-    *hint = StableTailHint{};
-    return Allocate(ed_sorted, total);
-  }
-
-  /// Like AllocateWithHint(), but writes the result into `*out` (sized to
-  /// the input), letting the caller reuse one scratch vector across
-  /// recomputes so steady-state reallocation allocates nothing. The
-  /// built-in strategies implement this as their core; the default
-  /// delegates, so third-party strategies stay correct without opting in.
-  virtual void AllocateInto(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total, AllocationVector* out,
-                            StableTailHint* hint) const {
-    *out = AllocateWithHint(ed_sorted, total, hint);
-  }
+  /// Divides `total` pages among the requests in `live` (ED order).
+  /// `out` arrives with no grants and an invalid hint; the strategy
+  /// appends its grants and, if it has an incremental proof, fills the
+  /// hint. Strategies that only ever look at an admission frontier walk
+  /// `live` from the front and stop there, so their cost follows the
+  /// admitted queries rather than the live ones; strategies whose math
+  /// needs the whole list use AllocateMaterialized.
+  virtual void Allocate(const EdIndex& live, PageCount total,
+                        Allocation* out) const = 0;
 
   virtual std::string name() const = 0;
 };
 
+/// Runs `strategy` over an explicit list taken in the given order (which
+/// need not be ED order) and returns out[i] = pages for ordered[i],
+/// 0 = not admitted. For wrapper strategies that reorder or filter the
+/// live list, and for tests and benches.
+AllocationVector AllocateDense(const AllocationStrategy& strategy,
+                               const std::vector<MemRequest>& ordered,
+                               PageCount total);
+
+/// The materialize helper: copies `live` out as an ED-sorted vector,
+/// lets `dense` allocate it (one entry per request, 0 = not admitted)
+/// and emits the non-zero entries as grants. The hint stays invalid.
+/// Costs O(live) per reallocation — the price of needing every request.
+void AllocateMaterialized(
+    const EdIndex& live, Allocation* out,
+    const std::function<AllocationVector(const std::vector<MemRequest>&)>&
+        dense);
+
 /// Shared machinery for "filter, delegate, scatter" wrapper strategies
 /// (per-class quotas, feasibility shedding): requests `keep` rejects
 /// (called once per request, in ED order — may be stateful) receive 0;
-/// the survivors are allocated by `inner` and the grants scattered back
-/// to their original positions. When every request is kept the wrapper
-/// is a no-op, so this delegates to `inner.AllocateWithHint` and the
-/// inner stable-tail proof lands in `*hint` verbatim — each wrapper
-/// decides whether exposing it is sound (quotas: yes; time-dependent
-/// filters: no, discard it). When anything is filtered, `*hint` is
-/// invalid.
-AllocationVector AllocateThroughFilter(
-    const AllocationStrategy& inner, const std::vector<MemRequest>& ed_sorted,
-    PageCount total, const std::function<bool(const MemRequest&)>& keep,
-    StableTailHint* hint);
+/// the survivors are allocated by `inner`. When every request is kept
+/// the wrapper is a no-op, so this delegates to `inner` on `live`
+/// itself and the inner stable-tail proof lands in `out->hint` verbatim
+/// — each wrapper decides whether exposing it is sound (quotas: yes;
+/// time-dependent filters: no, discard it). When anything is filtered,
+/// the hint is invalid.
+void AllocateThroughFilter(const AllocationStrategy& inner,
+                           const EdIndex& live, PageCount total,
+                           const std::function<bool(const MemRequest&)>& keep,
+                           Allocation* out);
 
 class MaxStrategy : public AllocationStrategy {
  public:
@@ -110,14 +132,8 @@ class MaxStrategy : public AllocationStrategy {
   explicit MaxStrategy(bool bypass_blocked = true)
       : bypass_blocked_(bypass_blocked) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override;
-  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
-                    AllocationVector* out,
-                    StableTailHint* hint) const override;
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override;
   std::string name() const override;
 
  private:
@@ -129,14 +145,8 @@ class MinMaxStrategy : public AllocationStrategy {
   /// `mpl_limit` = N; negative means unlimited (MinMax-infinity).
   explicit MinMaxStrategy(int64_t mpl_limit = -1) : mpl_limit_(mpl_limit) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override;
-  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
-                    AllocationVector* out,
-                    StableTailHint* hint) const override;
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override;
   std::string name() const override;
 
   int64_t mpl_limit() const { return mpl_limit_; }
@@ -151,14 +161,8 @@ class ProportionalStrategy : public AllocationStrategy {
   explicit ProportionalStrategy(int64_t mpl_limit = -1)
       : mpl_limit_(mpl_limit) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override;
-  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
-                    AllocationVector* out,
-                    StableTailHint* hint) const override;
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override;
   std::string name() const override;
 
  private:

@@ -192,6 +192,9 @@ StatusOr<std::unique_ptr<Rtdbs>> Rtdbs::Create(const SystemConfig& config) {
 }
 
 Status Rtdbs::Init() {
+  if (const char* tq = std::getenv("RTQ_TRACE_QUERY")) {
+    trace_query_ = static_cast<QueryId>(std::atoll(tq));
+  }
   Rng master(config_.seed);
   Rng placement_rng = master.Fork();
   Rng source_rng = master.Fork();
@@ -496,14 +499,12 @@ void Rtdbs::ApplyAllocation(QueryId id, PageCount pages) {
   QueryRuntime& rt = *it->second;
   if (rt.finished) return;
   if (pages == rt.allocation) return;
-  if (const char* tq = std::getenv("RTQ_TRACE_QUERY")) {
-    if (static_cast<QueryId>(std::atoll(tq)) == id) {
-      std::fprintf(stderr,
-                   "[trace] t=%.1f q%llu alloc %lld -> %lld (max=%lld)\n",
-                   sim_.Now(), (unsigned long long)id,
-                   (long long)rt.allocation, (long long)pages,
-                   (long long)rt.desc.max_memory);
-    }
+  if (id == trace_query_) {
+    std::fprintf(stderr,
+                 "[trace] t=%.1f q%llu alloc %lld -> %lld (max=%lld)\n",
+                 sim_.Now(), (unsigned long long)id,
+                 (long long)rt.allocation, (long long)pages,
+                 (long long)rt.desc.max_memory);
   }
 
   Status st = pool_->SetReservation(id, pages);

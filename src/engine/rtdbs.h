@@ -251,6 +251,9 @@ class Rtdbs {
   /// third fork off the master seed, taken in Init so that taking it
   /// does not perturb the placement or source streams.
   Rng live_rng_{0};
+  /// Query whose allocation changes are traced to stderr: the
+  /// RTQ_TRACE_QUERY environment variable, read once in Init.
+  QueryId trace_query_ = kInvalidQueryId;
   bool started_ = false;
 };
 

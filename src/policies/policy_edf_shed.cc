@@ -57,12 +57,6 @@ class EdfShedStrategy : public AllocationStrategy {
         margin_(margin),
         inner_(/*mpl_limit=*/-1) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
-    StableTailHint ignored;
-    return AllocateWithHint(ed_sorted, total, &ignored);
-  }
-
   // When nothing was shed this round the wrapper was a no-op, so the
   // inner MinMax-infinity stable-tail proof holds for this input and is
   // exposed (AllocateThroughFilter invalidates it whenever anything was
@@ -72,18 +66,17 @@ class EdfShedStrategy : public AllocationStrategy {
   // clock-dependent filter is next consulted, never what anyone holds.
   // See the header comment for why that laziness is the policy's
   // defined semantics.
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override {
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override {
     SimTime now = now_();
-    return AllocateThroughFilter(
-        inner_, ed_sorted, total,
+    AllocateThroughFilter(
+        inner_, live, total,
         [this, now](const MemRequest& q) {
           // Shed queries infeasible even at max allocation, crediting
           // the work they already completed.
           return q.deadline - now >= margin_ * RemainingEstimate(q);
         },
-        hint);
+        out);
   }
 
   std::string name() const override { return "EdfShed"; }

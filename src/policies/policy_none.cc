@@ -29,26 +29,29 @@ namespace {
 
 class FcfsMaxStrategy : public AllocationStrategy {
  public:
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
-    // Re-derive arrival order: QueryIds are assigned in arrival order,
-    // so sorting by id undoes the Earliest-Deadline presentation.
-    std::vector<size_t> order(ed_sorted.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return ed_sorted[a].id < ed_sorted[b].id;
-    });
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override {
+    AllocateMaterialized(
+        live, out, [total](const std::vector<MemRequest>& ed_sorted) {
+          // Re-derive arrival order: QueryIds are assigned in arrival order,
+          // so sorting by id undoes the Earliest-Deadline presentation.
+          std::vector<size_t> order(ed_sorted.size());
+          for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+          std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+            return ed_sorted[a].id < ed_sorted[b].id;
+          });
 
-    AllocationVector out(ed_sorted.size(), 0);
-    PageCount remaining = total;
-    for (size_t idx : order) {
-      const MemRequest& q = ed_sorted[idx];
-      PageCount grant = std::min(q.max_memory, remaining);
-      if (grant < q.min_memory) continue;  // below the operator minimum
-      out[idx] = grant;
-      remaining -= grant;
-    }
-    return out;
+          AllocationVector alloc(ed_sorted.size(), 0);
+          PageCount remaining = total;
+          for (size_t idx : order) {
+            const MemRequest& q = ed_sorted[idx];
+            PageCount grant = std::min(q.max_memory, remaining);
+            if (grant < q.min_memory) continue;  // below the operator minimum
+            alloc[idx] = grant;
+            remaining -= grant;
+          }
+          return alloc;
+        });
   }
 
   std::string name() const override { return "None(FCFS)"; }

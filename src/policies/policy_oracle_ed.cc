@@ -40,22 +40,25 @@ class OracleEdStrategy : public AllocationStrategy {
   OracleEdStrategy(std::function<SimTime()> now, double margin)
       : now_(std::move(now)), margin_(margin) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
+  void Allocate(const EdIndex& live, PageCount total,
+                Allocation* out) const override {
     SimTime now = now_();
-    AllocationVector out(ed_sorted.size(), 0);
-    PageCount remaining = total;
-    for (size_t i = 0; i < ed_sorted.size(); ++i) {
-      const MemRequest& q = ed_sorted[i];
-      if (q.deadline - now < margin_ * RemainingEstimate(q)) {
-        continue;  // cannot finish its residual work: spend nothing
-      }
-      if (q.max_memory <= remaining) {
-        out[i] = q.max_memory;
-        remaining -= q.max_memory;
-      }
-    }
-    return out;
+    AllocateMaterialized(
+        live, out, [&](const std::vector<MemRequest>& ed_sorted) {
+          AllocationVector alloc(ed_sorted.size(), 0);
+          PageCount remaining = total;
+          for (size_t i = 0; i < ed_sorted.size(); ++i) {
+            const MemRequest& q = ed_sorted[i];
+            if (q.deadline - now < margin_ * RemainingEstimate(q)) {
+              continue;  // cannot finish its residual work: spend nothing
+            }
+            if (q.max_memory <= remaining) {
+              alloc[i] = q.max_memory;
+              remaining -= q.max_memory;
+            }
+          }
+          return alloc;
+        });
   }
 
   std::string name() const override { return "OracleED"; }

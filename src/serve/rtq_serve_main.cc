@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "harness/args.h"
@@ -72,6 +73,8 @@ struct ServeState {
   int64_t metrics_every = 20000;
   uint64_t next_metrics = 0;
   uint64_t max_events = 0;  ///< 0 = uncapped
+  /// Event count of the current stream's most recent metrics line.
+  std::optional<uint64_t> last_emitted;
   bool quit = false;
 
   void ResetStreamer() {
@@ -87,6 +90,7 @@ struct ServeState {
       streamers.push_back(
           std::make_unique<rtq::harness::MetricsStreamer>(stdout));
     }
+    last_emitted.reset();
     next_metrics =
         metrics_every > 0
             ? (session->events() / metrics_every + 1) *
@@ -103,6 +107,14 @@ struct ServeState {
     } else {
       streamers[0]->Emit(session->system(), WallNow());
     }
+    last_emitted = session->events();
+  }
+
+  /// The exit-time line, unless the stream already ends at this event
+  /// count (e.g. --max-events landed on the --metrics-every cadence): a
+  /// repeat would only report an empty window.
+  void EmitFinalMetrics() {
+    if (last_emitted != session->events()) EmitMetrics();
   }
 
   bool AtCap() { return max_events > 0 && session->events() >= max_events; }
@@ -398,7 +410,7 @@ int main(int argc, char** argv) {
                              : RunScript(state, cmds_path);
 
   // Final metrics line so the stream always ends with the exit state.
-  if (state.metrics_every > 0) state.EmitMetrics();
+  if (state.metrics_every > 0) state.EmitFinalMetrics();
 
   if (rc == 0 && !bench_json.empty()) {
     rtq::harness::BenchJsonEmitter emitter(bench_json);

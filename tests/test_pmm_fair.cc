@@ -39,7 +39,7 @@ TEST(FairOrderingStrategy, IdentityWhenUrgenciesEqual) {
                             {1.0, 1.0});
   std::vector<MemRequest> qs = {Q(1, 0, 100, 0, 40, 900),
                                 Q(2, 0, 200, 1, 40, 900)};
-  auto out = fair.Allocate(qs, 1000);
+  auto out = AllocateDense(fair, qs, 1000);
   EXPECT_EQ(out[0], 900);
   EXPECT_EQ(out[1], 100);
 }
@@ -51,7 +51,7 @@ TEST(FairOrderingStrategy, UrgencyBoostReordersClasses) {
                             {1.0, 4.0});
   std::vector<MemRequest> qs = {Q(1, 0, 100, 0, 40, 900),
                                 Q(2, 0, 200, 1, 40, 900)};
-  auto out = fair.Allocate(qs, 1000);
+  auto out = AllocateDense(fair, qs, 1000);
   // vdeadline: q1 = 100, q2 = 50 -> q2 first.
   EXPECT_EQ(out[0], 100);
   EXPECT_EQ(out[1], 900);
@@ -60,7 +60,7 @@ TEST(FairOrderingStrategy, UrgencyBoostReordersClasses) {
 TEST(FairOrderingStrategy, UnknownClassGetsNeutralUrgency) {
   FairOrderingStrategy fair(std::make_unique<MaxStrategy>(), {2.0});
   std::vector<MemRequest> qs = {Q(1, 0, 100, /*cls=*/7, 40, 400)};
-  auto out = fair.Allocate(qs, 1000);
+  auto out = AllocateDense(fair, qs, 1000);
   EXPECT_EQ(out[0], 400);
 }
 

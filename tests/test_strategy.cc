@@ -26,9 +26,9 @@ PageCount Sum(const AllocationVector& v) {
 
 TEST(MaxStrategy, AllOrNothing) {
   MaxStrategy strat;
-  auto out = strat.Allocate({Q(1, 10, 40, 1300), Q(2, 20, 40, 1300),
-                             Q(3, 30, 40, 1300)},
-                            2560);
+  auto out = AllocateDense(
+      strat, {Q(1, 10, 40, 1300), Q(2, 20, 40, 1300), Q(3, 30, 40, 1300)},
+      2560);
   EXPECT_EQ(out, (AllocationVector{1300, 1260 >= 1300 ? 1300 : 0, 0}));
   EXPECT_EQ(out[0], 1300);
   EXPECT_EQ(out[1], 0);  // 1260 left < 1300
@@ -37,8 +37,9 @@ TEST(MaxStrategy, AllOrNothing) {
 
 TEST(MaxStrategy, BypassAdmitsAroundBlockedQuery) {
   MaxStrategy bypass(/*bypass_blocked=*/true);
-  auto out = bypass.Allocate(
-      {Q(1, 10, 40, 2000), Q(2, 20, 40, 1000), Q(3, 30, 40, 500)}, 2560);
+  auto out = AllocateDense(
+      bypass, {Q(1, 10, 40, 2000), Q(2, 20, 40, 1000), Q(3, 30, 40, 500)},
+      2560);
   EXPECT_EQ(out[0], 2000);
   EXPECT_EQ(out[1], 0);    // 560 left < 1000
   EXPECT_EQ(out[2], 500);  // bypasses query 2
@@ -46,8 +47,9 @@ TEST(MaxStrategy, BypassAdmitsAroundBlockedQuery) {
 
 TEST(MaxStrategy, StrictStopsAtBlockedQuery) {
   MaxStrategy strict(/*bypass_blocked=*/false);
-  auto out = strict.Allocate(
-      {Q(1, 10, 40, 2000), Q(2, 20, 40, 1000), Q(3, 30, 40, 500)}, 2560);
+  auto out = AllocateDense(
+      strict, {Q(1, 10, 40, 2000), Q(2, 20, 40, 1000), Q(3, 30, 40, 500)},
+      2560);
   EXPECT_EQ(out[0], 2000);
   EXPECT_EQ(out[1], 0);
   EXPECT_EQ(out[2], 0);  // not allowed to jump over query 2
@@ -62,8 +64,9 @@ TEST(MaxStrategy, Names) {
 
 TEST(MinMaxStrategy, UrgentGetsMaxRestGetMin) {
   MinMaxStrategy strat(-1);
-  auto out = strat.Allocate(
-      {Q(1, 10, 40, 1300), Q(2, 20, 40, 1300), Q(3, 30, 40, 1300)}, 2560);
+  auto out = AllocateDense(
+      strat, {Q(1, 10, 40, 1300), Q(2, 20, 40, 1300), Q(3, 30, 40, 1300)},
+      2560);
   // Pass 1: 40 each (120). Pass 2 in ED order: q1 to 1300, q2 gets the
   // remaining 2560-1300-80 = 1180, q3 stays at min.
   EXPECT_EQ(out[0], 1300);
@@ -74,8 +77,8 @@ TEST(MinMaxStrategy, UrgentGetsMaxRestGetMin) {
 
 TEST(MinMaxStrategy, MplLimitCapsAdmission) {
   MinMaxStrategy strat(2);
-  auto out = strat.Allocate(
-      {Q(1, 10, 40, 100), Q(2, 20, 40, 100), Q(3, 30, 40, 100)}, 2560);
+  auto out = AllocateDense(
+      strat, {Q(1, 10, 40, 100), Q(2, 20, 40, 100), Q(3, 30, 40, 100)}, 2560);
   EXPECT_GT(out[0], 0);
   EXPECT_GT(out[1], 0);
   EXPECT_EQ(out[2], 0);  // beyond N=2
@@ -83,8 +86,8 @@ TEST(MinMaxStrategy, MplLimitCapsAdmission) {
 
 TEST(MinMaxStrategy, StopsWhenMinDoesNotFit) {
   MinMaxStrategy strat(-1);
-  auto out = strat.Allocate(
-      {Q(1, 10, 60, 80), Q(2, 20, 60, 80), Q(3, 30, 60, 80)}, 130);
+  auto out = AllocateDense(
+      strat, {Q(1, 10, 60, 80), Q(2, 20, 60, 80), Q(3, 30, 60, 80)}, 130);
   // Pass 1 admits q1 and q2 (120 <= 130); q3's min does not fit.
   EXPECT_EQ(out[2], 0);
   // Pass 2 tops q1 up with the leftover 10.
@@ -94,7 +97,8 @@ TEST(MinMaxStrategy, StopsWhenMinDoesNotFit) {
 
 TEST(MinMaxStrategy, EveryoneAtMaxWhenMemoryAbounds) {
   MinMaxStrategy strat(-1);
-  auto out = strat.Allocate({Q(1, 10, 40, 100), Q(2, 20, 40, 100)}, 10000);
+  auto out =
+      AllocateDense(strat, {Q(1, 10, 40, 100), Q(2, 20, 40, 100)}, 10000);
   EXPECT_EQ(out, (AllocationVector{100, 100}));
 }
 
@@ -107,7 +111,8 @@ TEST(MinMaxStrategy, Names) {
 
 TEST(ProportionalStrategy, EqualFractionOfMax) {
   ProportionalStrategy strat(-1);
-  auto out = strat.Allocate({Q(1, 10, 10, 1000), Q(2, 20, 10, 3000)}, 2000);
+  auto out =
+      AllocateDense(strat, {Q(1, 10, 10, 1000), Q(2, 20, 10, 3000)}, 2000);
   // f = 0.5: allocations 500 and 1500.
   EXPECT_NEAR(static_cast<double>(out[0]), 500.0, 2.0);
   EXPECT_NEAR(static_cast<double>(out[1]), 1500.0, 2.0);
@@ -116,8 +121,8 @@ TEST(ProportionalStrategy, EqualFractionOfMax) {
 
 TEST(ProportionalStrategy, FractionFlooredAtMinimum) {
   ProportionalStrategy strat(-1);
-  auto out = strat.Allocate(
-      {Q(1, 10, 300, 400), Q(2, 20, 10, 4000)}, 2000);
+  auto out = AllocateDense(
+      strat, {Q(1, 10, 300, 400), Q(2, 20, 10, 4000)}, 2000);
   // A plain fraction would give q1 less than its minimum; it is floored.
   EXPECT_GE(out[0], 300);
   EXPECT_LE(Sum(out), 2000);
@@ -126,14 +131,15 @@ TEST(ProportionalStrategy, FractionFlooredAtMinimum) {
 
 TEST(ProportionalStrategy, FullFractionWhenMemoryAbounds) {
   ProportionalStrategy strat(-1);
-  auto out = strat.Allocate({Q(1, 10, 10, 700), Q(2, 20, 10, 800)}, 10000);
+  auto out =
+      AllocateDense(strat, {Q(1, 10, 10, 700), Q(2, 20, 10, 800)}, 10000);
   EXPECT_EQ(out, (AllocationVector{700, 800}));
 }
 
 TEST(ProportionalStrategy, AdmitsOnlyWhatMinimumsAllow) {
   ProportionalStrategy strat(-1);
-  auto out = strat.Allocate(
-      {Q(1, 10, 60, 80), Q(2, 20, 60, 80), Q(3, 30, 60, 80)}, 130);
+  auto out = AllocateDense(
+      strat, {Q(1, 10, 60, 80), Q(2, 20, 60, 80), Q(3, 30, 60, 80)}, 130);
   EXPECT_GT(out[0], 0);
   EXPECT_GT(out[1], 0);
   EXPECT_EQ(out[2], 0);
@@ -185,7 +191,7 @@ TEST_P(StrategyInvariants, NeverOversubscribesAndRespectsBounds) {
             });
   PageCount total = rng.UniformInt(100, 4000);
 
-  AllocationVector out = strategy->Allocate(queries, total);
+  AllocationVector out = AllocateDense(*strategy, queries, total);
   ASSERT_EQ(out.size(), queries.size());
   PageCount sum = 0;
   for (size_t i = 0; i < out.size(); ++i) {
@@ -212,7 +218,7 @@ TEST_P(StrategyInvariants, EdPriorityIsRespected) {
     queries.push_back(Q(static_cast<QueryId>(i), 10.0 * (i + 1), 40, 700));
   }
   PageCount total = rng.UniformInt(40, 3000);
-  AllocationVector out = strategy->Allocate(queries, total);
+  AllocationVector out = AllocateDense(*strategy, queries, total);
   bool seen_zero = false;
   for (PageCount a : out) {
     if (a == 0) seen_zero = true;
