@@ -45,7 +45,7 @@ int main() {
     // Derive the N column from the spec: "minmax:5" -> 5, bare
     // "minmax" -> inf; anything else (RTQ_POLICIES override) is shown
     // by its label.
-    std::string spec = policies[i].ResolvedSpec();
+    std::string spec = policies[i].spec;
     std::string n_label, n_csv;
     if (spec == "minmax") {
       n_label = "inf";

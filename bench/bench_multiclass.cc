@@ -21,7 +21,7 @@ int main() {
       harness::PoliciesOrDefault({{"max"}, {"minmax"}, {"pmm"}});
   bool have_pmm = false;
   for (const auto& policy : policies) {
-    have_pmm = have_pmm || policy.ResolvedSpec() == "pmm";
+    have_pmm = have_pmm || policy.spec == "pmm";
   }
 
   std::vector<harness::RunSpec> specs;
@@ -60,7 +60,7 @@ int main() {
       csv.AddRow({F(rate, 2), harness::PolicyLabel(policies[p]),
                   F(s.overall.miss_ratio, 4), F(medium, 4), F(small, 4)});
       json.AddResult(results[i], harness::PolicyLabel(policies[p]), rate);
-      if (policies[p].ResolvedSpec() == "pmm") {
+      if (policies[p].spec == "pmm") {
         r18.push_back(Pct(medium));
         r18.push_back(rate > 0.0 ? Pct(small) : std::string("-"));
         r18.push_back(Pct(s.overall.miss_ratio));

@@ -27,7 +27,7 @@ namespace {
 /// Index of the oracle-ed lane in `policies`, or -1 when absent.
 int OracleIndex(const std::vector<rtq::engine::PolicyConfig>& policies) {
   for (size_t p = 0; p < policies.size(); ++p) {
-    auto spec = rtq::core::PolicySpec::Parse(policies[p].ResolvedSpec());
+    auto spec = rtq::core::PolicySpec::Parse(policies[p].spec);
     if (spec.ok() && spec.value().name == "oracle-ed") {
       return static_cast<int>(p);
     }

@@ -45,7 +45,7 @@ int main() {
   int pmm_index = -1;
   for (size_t p = 0; p < policies.size(); ++p) {
     names.push_back(harness::PolicyLabel(policies[p]));
-    if (policies[p].ResolvedSpec() == "pmm") {
+    if (policies[p].spec == "pmm") {
       pmm_index = static_cast<int>(p);
     }
   }

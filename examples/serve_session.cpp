@@ -10,9 +10,12 @@
 // inject a flash-crowd scenario, snapshot to a `.rtqs` file, keep
 // running, then restore the snapshot into a fresh session and replay the
 // same continuation — finishing with the digest comparison that the
-// serve-mode tests and CI gate enforce for every policy.
+// serve-mode tests and CI gate enforce for every policy. Every session
+// is an engine::ShardedRtdbs (one shard by default); the last step
+// repeats the snapshot/restore proof on a 4-shard cluster.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +32,8 @@ namespace {
 void Banner(const char* text) { std::printf("\n=== %s ===\n", text); }
 
 void PrintState(ServeSession& session) {
-  rtq::engine::Rtdbs& sys = session.system();
+  // A default session is a 1-shard cluster; its one shard is the engine.
+  rtq::engine::Rtdbs& sys = session.engine().shard(0);
   std::printf("  t=%8.1fs  events=%-7llu  live=%-3lld  policy=%s\n",
               sys.simulator().Now(),
               static_cast<unsigned long long>(session.events()),
@@ -75,12 +79,7 @@ int main() {
   PrintState(*session);
 
   Banner("snapshot mid-flight");
-  auto taken = session->TakeSnapshot();
-  if (!taken.ok()) {
-    std::fprintf(stderr, "%s\n", taken.status().ToString().c_str());
-    return 1;
-  }
-  Snapshot snapshot = std::move(taken).value();
+  Snapshot snapshot = session->TakeSnapshot();
   const std::string path = "results/serve_session_example.rtqs";
   rtq::Status wrote = rtq::serve::WriteSnapshotFile(snapshot, path);
   if (!wrote.ok()) {
@@ -115,16 +114,53 @@ int main() {
   Banner("proof: both trajectories are bit-identical");
   std::vector<std::string> a;
   std::vector<std::string> b;
-  session->system().AppendStateDigest(&a);
-  restored.value()->system().AppendStateDigest(&b);
+  session->engine().AppendStateDigest(&a);
+  restored.value()->engine().AppendStateDigest(&b);
   if (a != b) {
     std::printf("  DIVERGED (%zu vs %zu digest lines)\n", a.size(), b.size());
     return 1;
   }
   std::printf("  %zu digest lines, all equal\n", a.size());
 
+  Banner("the same on a 4-shard cluster (skewed placement, global cap)");
+  SessionSpec cluster_spec = spec;
+  cluster_spec.shards = 4;
+  cluster_spec.placement = "skew:hot=0.6";
+  cluster_spec.admission = "global:mpl=12";
+  auto cluster_created = ServeSession::Create(cluster_spec);
+  if (!cluster_created.ok()) {
+    std::fprintf(stderr, "%s\n", cluster_created.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<ServeSession> cluster = std::move(cluster_created).value();
+  cluster->RunEvents(40000);
+  cluster->ApplyPolicy("minmax");
+  cluster->RunEvents(20000);
+  // The genesis carries the shard shape, so the snapshot alone rebuilds
+  // the cluster.
+  auto cluster_snap = rtq::serve::ParseSnapshot(
+      rtq::serve::SerializeSnapshot(cluster->TakeSnapshot()));
+  auto cluster_restored = ServeSession::Restore(cluster_snap.value());
+  if (!cluster_restored.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 cluster_restored.status().ToString().c_str());
+    return 1;
+  }
+  cluster->RunEvents(20000);
+  cluster_restored.value()->RunEvents(20000);
+  a.clear();
+  b.clear();
+  cluster->engine().AppendStateDigest(&a);
+  cluster_restored.value()->engine().AppendStateDigest(&b);
+  if (a != b) {
+    std::printf("  DIVERGED (%zu vs %zu digest lines)\n", a.size(), b.size());
+    return 1;
+  }
+  std::printf("  %d shards restored; %zu digest lines, all equal\n",
+              cluster->engine().num_shards(), a.size());
+
   Banner("one metrics line (the rtq_serve stream format)");
   rtq::harness::MetricsStreamer streamer(stdout);
-  streamer.Emit(restored.value()->system(), 0.0);
+  streamer.Emit(restored.value()->engine().shard(0), 0.0);
   return 0;
 }

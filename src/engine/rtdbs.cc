@@ -235,8 +235,7 @@ Status Rtdbs::Init() {
   }
 
   probe_ = std::make_unique<ProbeImpl>(this);
-  auto policy =
-      core::PolicyRegistry::Global().Create(config_.policy.ResolvedSpec());
+  auto policy = core::PolicyRegistry::Global().Create(config_.policy.spec);
   if (!policy.ok()) return policy.status();
   policy_ = std::move(policy).value();
 

@@ -115,6 +115,26 @@ SimTime ShardedRtdbs::Now() const {
   return now;
 }
 
+PolicySwapOutcome ShardedRtdbs::SwapPolicy(const std::string& spec) {
+  PolicySwapOutcome out = shards_[0]->SwapPolicy(spec);
+  if (!out.status.ok()) return out;
+  for (size_t s = 1; s < shards_.size(); ++s) {
+    const bool ok = shards_[s]->SwapPolicy(spec).status.ok();
+    RTQ_CHECK_MSG(ok, "policy spec accepted by shard 0 but rejected later");
+  }
+  return out;
+}
+
+StatusOr<std::string> ShardedRtdbs::SwapScenario(const std::string& spec) {
+  StatusOr<std::string> canonical = shards_[0]->SwapScenario(spec);
+  if (!canonical.ok()) return canonical;
+  for (size_t s = 1; s < shards_.size(); ++s) {
+    const bool ok = shards_[s]->SwapScenario(spec).ok();
+    RTQ_CHECK_MSG(ok, "scenario spec accepted by shard 0 but rejected later");
+  }
+  return canonical;
+}
+
 uint64_t ShardedRtdbs::events_dispatched() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
@@ -124,14 +144,14 @@ uint64_t ShardedRtdbs::events_dispatched() const {
 }
 
 SystemSummary ShardedRtdbs::Summarize() const {
-  SystemSummary agg;
-  size_t classes = 0;
-  double cpu_sum = 0.0;
-  double disk_sum = 0.0;
-  for (const auto& shard : shards_) {
-    SystemSummary s = shard->Summarize();
-    classes = std::max(classes, s.per_class.size());
-    agg.per_class.resize(classes);
+  // Shard 0's summary seeds the aggregate, so one shard reports exactly
+  // what a plain Rtdbs would.
+  SystemSummary agg = shards_[0]->Summarize();
+  double cpu_sum = agg.cpu_utilization;
+  double disk_sum = agg.avg_disk_utilization;
+  for (size_t i = 1; i < shards_.size(); ++i) {
+    SystemSummary s = shards_[i]->Summarize();
+    agg.per_class.resize(std::max(agg.per_class.size(), s.per_class.size()));
     MergeClass(s.overall, &agg.overall);
     for (size_t c = 0; c < s.per_class.size(); ++c) {
       MergeClass(s.per_class[c], &agg.per_class[c]);
@@ -146,6 +166,8 @@ SystemSummary ShardedRtdbs::Summarize() const {
     agg.events_dispatched += s.events_dispatched;
     agg.simulated_time = std::max(agg.simulated_time, s.simulated_time);
   }
+  // Batch means of independent streams do not merge into one interval.
+  if (num_shards() > 1) agg.miss_ratio_ci = stats::ConfidenceInterval{};
   const double n = static_cast<double>(num_shards());
   agg.cpu_utilization = cpu_sum / n;
   agg.avg_disk_utilization = disk_sum / n;
@@ -159,7 +181,7 @@ SystemSummary ShardedRtdbs::SummarizeShard(int32_t s) const {
 
 void ShardedRtdbs::AppendStateDigest(std::vector<std::string>* out) const {
   for (int32_t s = 0; s < num_shards(); ++s) {
-    out->push_back("shard " + std::to_string(s));
+    if (num_shards() > 1) out->push_back("shard " + std::to_string(s));
     shards_[static_cast<size_t>(s)]->AppendStateDigest(out);
   }
 }

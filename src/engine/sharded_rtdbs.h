@@ -69,9 +69,22 @@ class ShardedRtdbs {
   /// Latest shard clock (== the RunUntil horizon after a run).
   SimTime Now() const;
 
+  /// Hot-swaps every shard's policy, or none: shard 0 probes `spec`, and
+  /// the other shards swap only after it succeeded. The outcome is shard
+  /// 0's (a rollback there leaves the whole cluster on the incumbent).
+  PolicySwapOutcome SwapPolicy(const std::string& spec);
+
+  /// Swaps every shard's arrival stream, or none, with the protocol of
+  /// SwapPolicy. Each shard forks the new source from its own live rng;
+  /// those streams are identical across shards (same genesis seed), so
+  /// filtered replication still sees one global arrival process.
+  StatusOr<std::string> SwapScenario(const std::string& spec);
+
   int32_t num_shards() const { return static_cast<int32_t>(shards_.size()); }
   Rtdbs& shard(int32_t s) { return *shards_[static_cast<size_t>(s)]; }
-  const Rtdbs& shard(int32_t s) const { return *shards_[static_cast<size_t>(s)]; }
+  const Rtdbs& shard(int32_t s) const {
+    return *shards_[static_cast<size_t>(s)];
+  }
   const ShardConfig& shard_config() const { return shard_config_; }
   const workload::ShardPlacement& placement() const { return *placement_; }
   /// Null under local admission.
@@ -84,13 +97,16 @@ class ShardedRtdbs {
 
   /// Cluster-wide aggregate: completions/misses summed, time averages
   /// completion-weighted, avg_mpl summed (total in-flight across shards),
-  /// utilizations averaged per shard (max = cluster max). The batch-means
-  /// miss CI does not merge across independent streams and is left empty;
-  /// use SummarizeShard for per-shard CIs.
+  /// utilizations averaged per shard (max = cluster max). With more than
+  /// one shard the batch-means miss CI does not merge across independent
+  /// streams and is left empty; use SummarizeShard for per-shard CIs. A
+  /// 1-shard summary is bit-identical to the shard's own.
   SystemSummary Summarize() const;
   SystemSummary SummarizeShard(int32_t s) const;
 
-  /// Per-shard digests, each prefixed by a "shard <i>" line.
+  /// Per-shard digests, each prefixed by a "shard <i>" line when there is
+  /// more than one shard — a 1-shard digest is exactly the shard's, so
+  /// unsharded serve snapshots read the same as a plain Rtdbs's.
   void AppendStateDigest(std::vector<std::string>* out) const;
 
  private:

@@ -7,8 +7,10 @@
 namespace rtq::engine {
 
 Status ShardConfig::Validate() const {
-  if (num_shards < 1)
-    return Status::InvalidArgument("num_shards must be >= 1");
+  if (num_shards < 1 || num_shards > kMaxShards)
+    return Status::InvalidArgument("num_shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "], got " +
+                                   std::to_string(num_shards));
   {
     auto p = workload::ShardPlacement::Make(placement, num_shards);
     if (!p.ok()) return p.status();
@@ -24,47 +26,6 @@ storage::DatabaseSpec SystemConfig::EffectiveDatabase() const {
   storage::DatabaseSpec spec = database;
   if (spec.num_disks == 0) spec.num_disks = num_disks;
   return spec;
-}
-
-const char* PolicyKindName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kMax:
-      return "Max";
-    case PolicyKind::kMinMax:
-      return "MinMax";
-    case PolicyKind::kMinMaxN:
-      return "MinMax-N";
-    case PolicyKind::kProportional:
-      return "Proportional";
-    case PolicyKind::kProportionalN:
-      return "Proportional-N";
-    case PolicyKind::kPmm:
-      return "PMM";
-    case PolicyKind::kPmmFair:
-      return "PMM-Fair";
-  }
-  return "?";
-}
-
-std::string PolicyConfig::ResolvedSpec() const {
-  if (!spec.empty()) return spec;
-  switch (kind) {
-    case PolicyKind::kMax:
-      return max_bypass ? "max" : "max:strict";
-    case PolicyKind::kMinMax:
-      return "minmax";
-    case PolicyKind::kMinMaxN:
-      return "minmax:" + std::to_string(mpl_limit);
-    case PolicyKind::kProportional:
-      return "prop";
-    case PolicyKind::kProportionalN:
-      return "prop:" + std::to_string(mpl_limit);
-    case PolicyKind::kPmm:
-      return "pmm";
-    case PolicyKind::kPmmFair:
-      return "pmm-fair:w=" + core::FormatSpecDoubleList(fair_weights);
-  }
-  return "pmm";
 }
 
 Status SystemConfig::Validate() const {
@@ -101,7 +62,7 @@ Status SystemConfig::Validate() const {
   {
     // The policy spec must parse and name a registered factory; class- or
     // probe-dependent checks run later, in MemoryPolicy::Attach.
-    auto p = core::PolicyRegistry::Global().Create(policy.ResolvedSpec());
+    auto p = core::PolicyRegistry::Global().Create(policy.spec);
     if (!p.ok()) return p.status();
   }
   if (miss_ci_batch < 1)

@@ -210,11 +210,10 @@ engine::SystemConfig ScaledConfig(double arrival_rate,
 }
 
 std::string PolicyLabel(const engine::PolicyConfig& policy) {
-  std::string spec = policy.ResolvedSpec();
-  auto p = core::PolicyRegistry::Global().Create(spec);
+  auto p = core::PolicyRegistry::Global().Create(policy.spec);
   // Unresolvable specs echo back verbatim; config validation is the
   // place that rejects them with a real Status.
-  return p.ok() ? p.value()->DisplayName() : spec;
+  return p.ok() ? p.value()->DisplayName() : policy.spec;
 }
 
 std::vector<std::string> PolicyColumns(

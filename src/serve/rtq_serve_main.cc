@@ -6,14 +6,16 @@
 // deterministic snapshot/restore mid-flight.
 //
 //   rtq_serve [--workload=SPEC] [--policy=SPEC] [--seed=N]
-//             [--shards=N]                serve a sharded cluster
-//                                         (engine::ShardedRtdbs); metrics
-//                                         stream one line per shard and
-//                                         `snapshot` is rejected as
-//                                         Unimplemented
+//             [--shards=N]                shards of the engine::ShardedRtdbs
+//                                         cluster (default 1, at most 64);
+//                                         with N > 1 metrics stream one
+//                                         line per shard
 //             [--placement=SPEC]          hash | range | skew:hot=F
 //             [--admission=SPEC]          local | global:mpl=N
-//             [--restore=PATH]            start from a `.rtqs` snapshot
+//             [--restore=PATH]            start from a `.rtqs` snapshot;
+//                                         its genesis (workload, policy,
+//                                         seed, shards, placement,
+//                                         admission) overrides those flags
 //             [--cmds=PATH]               scripted mode: execute commands,
 //                                         then exit (errors exit 2)
 //             [--pace=R]                  R simulated seconds per wall
@@ -36,6 +38,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,8 +70,8 @@ double WallNow() {
 
 struct ServeState {
   std::unique_ptr<ServeSession> session;
-  /// One streamer per shard (a single entry for unsharded sessions), so
-  /// each shard's incremental record cursor advances independently.
+  /// One streamer per shard, so each shard's incremental record cursor
+  /// advances independently.
   std::vector<std::unique_ptr<rtq::harness::MetricsStreamer>> streamers;
   int64_t metrics_every = 20000;
   uint64_t next_metrics = 0;
@@ -81,14 +84,11 @@ struct ServeState {
     // A restored session replays history from event zero, so the
     // incremental record cursors must restart too.
     streamers.clear();
-    if (session->sharded()) {
-      for (int32_t s = 0; s < session->cluster().num_shards(); ++s) {
-        streamers.push_back(
-            std::make_unique<rtq::harness::MetricsStreamer>(stdout, s));
-      }
-    } else {
-      streamers.push_back(
-          std::make_unique<rtq::harness::MetricsStreamer>(stdout));
+    const int32_t shards = session->engine().num_shards();
+    for (int32_t s = 0; s < shards; ++s) {
+      // Only a multi-shard stream tags its lines with the shard index.
+      streamers.push_back(std::make_unique<rtq::harness::MetricsStreamer>(
+          stdout, shards > 1 ? s : -1));
     }
     last_emitted.reset();
     next_metrics =
@@ -99,13 +99,9 @@ struct ServeState {
   }
 
   void EmitMetrics() {
-    if (session->sharded()) {
-      for (int32_t s = 0; s < session->cluster().num_shards(); ++s) {
-        streamers[static_cast<size_t>(s)]->Emit(session->cluster().shard(s),
-                                                WallNow());
-      }
-    } else {
-      streamers[0]->Emit(session->system(), WallNow());
+    for (size_t s = 0; s < streamers.size(); ++s) {
+      streamers[s]->Emit(session->engine().shard(static_cast<int32_t>(s)),
+                         WallNow());
     }
     last_emitted = session->events();
   }
@@ -140,45 +136,37 @@ struct ServeState {
   }
 };
 
+/// One cluster-wide line (live and avg_mpl summed over shards), then one
+/// line per shard when there is more than one.
 void PrintStats(ServeState& state) {
-  if (state.session->sharded()) {
-    rtq::engine::ShardedRtdbs& cluster = state.session->cluster();
-    rtq::engine::SystemSummary s = cluster.Summarize();
-    std::fprintf(stderr,
-                 "stats: t=%.3f events=%" PRIu64
-                 " shards=%d completed=%lld missed=%lld miss_ratio=%.4f "
-                 "cluster_mpl=%.2f policy=%s\n",
-                 cluster.Now(), state.session->events(),
-                 cluster.num_shards(),
-                 static_cast<long long>(s.overall.completions),
-                 static_cast<long long>(s.overall.misses),
-                 s.overall.miss_ratio, s.avg_mpl,
-                 cluster.shard(0).policy().Describe().c_str());
-    for (int32_t sh = 0; sh < cluster.num_shards(); ++sh) {
-      rtq::engine::SystemSummary ss = cluster.SummarizeShard(sh);
-      std::fprintf(stderr,
-                   "stats: shard=%d live=%lld completed=%lld missed=%lld "
-                   "miss_ratio=%.4f routed_elsewhere=%lld\n",
-                   sh, static_cast<long long>(cluster.shard(sh).live_queries()),
-                   static_cast<long long>(ss.overall.completions),
-                   static_cast<long long>(ss.overall.misses),
-                   ss.overall.miss_ratio,
-                   static_cast<long long>(cluster.shard(sh).routed_elsewhere()));
-    }
-    return;
+  rtq::engine::ShardedRtdbs& cluster = state.session->engine();
+  rtq::engine::SystemSummary s = cluster.Summarize();
+  int64_t live = 0;
+  for (int32_t sh = 0; sh < cluster.num_shards(); ++sh) {
+    live += cluster.shard(sh).live_queries();
   }
-  rtq::engine::Rtdbs& sys = state.session->system();
-  rtq::engine::SystemSummary s = sys.Summarize();
   std::fprintf(stderr,
                "stats: t=%.3f events=%" PRIu64
                " live=%lld completed=%lld missed=%lld miss_ratio=%.4f "
                "avg_mpl=%.2f policy=%s\n",
-               sys.simulator().Now(), state.session->events(),
-               static_cast<long long>(sys.live_queries()),
+               cluster.Now(), state.session->events(),
+               static_cast<long long>(live),
                static_cast<long long>(s.overall.completions),
                static_cast<long long>(s.overall.misses),
                s.overall.miss_ratio, s.avg_mpl,
-               sys.policy().Describe().c_str());
+               cluster.shard(0).policy().Describe().c_str());
+  if (cluster.num_shards() == 1) return;
+  for (int32_t sh = 0; sh < cluster.num_shards(); ++sh) {
+    rtq::engine::SystemSummary ss = cluster.SummarizeShard(sh);
+    std::fprintf(stderr,
+                 "stats: shard=%d live=%lld completed=%lld missed=%lld "
+                 "miss_ratio=%.4f routed_elsewhere=%lld\n",
+                 sh, static_cast<long long>(cluster.shard(sh).live_queries()),
+                 static_cast<long long>(ss.overall.completions),
+                 static_cast<long long>(ss.overall.misses),
+                 ss.overall.miss_ratio,
+                 static_cast<long long>(cluster.shard(sh).routed_elsewhere()));
+  }
 }
 
 /// Executes one parsed command. Returns Ok, or the failure for the
@@ -215,12 +203,11 @@ Status Execute(ServeState& state, const Command& cmd) {
       state.EmitMetrics();
       return Status::Ok();
     case Command::Kind::kSnapshot: {
-      auto snap = state.session->TakeSnapshot();
-      if (!snap.ok()) return snap.status();
-      Status st = rtq::serve::WriteSnapshotFile(snap.value(), cmd.arg);
+      Snapshot snap = state.session->TakeSnapshot();
+      Status st = rtq::serve::WriteSnapshotFile(snap, cmd.arg);
       if (!st.ok()) return st;
       std::fprintf(stderr, "snapshot: wrote %s at event %" PRIu64 "\n",
-                   cmd.arg.c_str(), snap.value().position_events);
+                   cmd.arg.c_str(), snap.position_events);
       return Status::Ok();
     }
     case Command::Kind::kRestore: {
@@ -281,15 +268,10 @@ int RunScript(ServeState& state, const std::string& path) {
 /// for control lines. Command failures are reported and survived — a
 /// typo must not take down a long-running server. Exits on `quit`,
 /// stdin EOF, the --max-events cap, or a drained calendar.
-double SimNow(ServeState& state) {
-  return state.session->sharded() ? state.session->cluster().Now()
-                                  : state.session->system().simulator().Now();
-}
-
 int RunInteractive(ServeState& state, double pace) {
   std::string pending;
   bool eof = false;
-  const double sim_start = SimNow(state);
+  const double sim_start = state.session->engine().Now();
   const double wall_start = WallNow();
 
   while (!state.quit) {
@@ -301,7 +283,7 @@ int RunInteractive(ServeState& state, double pace) {
         // Paced: never let the simulated clock outrun
         // sim_start + pace * elapsed wall seconds.
         double target = sim_start + pace * (WallNow() - wall_start);
-        if (SimNow(state) >= target) want = 0;
+        if (state.session->engine().Now() >= target) want = 0;
       }
       if (want > 0) stepped = state.Step(want);
       if (want > 0 && stepped == 0) {
@@ -354,7 +336,9 @@ int main(int argc, char** argv) {
   spec.workload = args.String("workload", spec.workload);
   spec.policy = args.String("policy", spec.policy);
   spec.seed = static_cast<uint64_t>(args.Int("seed", 42));
-  spec.shards = static_cast<int32_t>(args.Int("shards", 1));
+  // Clamped, not truncated, so an out-of-range count fails validation.
+  spec.shards = static_cast<int32_t>(std::clamp<int64_t>(
+      args.Int("shards", 1), 0, std::numeric_limits<int32_t>::max()));
   spec.placement = args.String("placement", spec.placement);
   spec.admission = args.String("admission", spec.admission);
   std::string restore_path = args.String("restore", "");
@@ -371,16 +355,6 @@ int main(int argc, char** argv) {
   }
 
   if (!restore_path.empty()) {
-    // A snapshot's recorded genesis governs the restored session, and the
-    // .rtqs grammar has no shard fields — refuse the contradictory flag
-    // rather than silently restoring an unsharded session.
-    if (spec.shards != 1) {
-      std::fprintf(stderr,
-                   "rtq_serve: --restore and --shards=%d conflict: snapshots "
-                   "are unsharded (their genesis has no shard fields)\n",
-                   spec.shards);
-      return 2;
-    }
     auto snap = rtq::serve::ReadSnapshotFile(restore_path);
     if (!snap.ok()) {
       std::fprintf(stderr, "rtq_serve: %s\n", snap.status().ToString().c_str());
@@ -416,12 +390,9 @@ int main(int argc, char** argv) {
     rtq::harness::BenchJsonEmitter emitter(bench_json);
     rtq::harness::RunResult result;
     result.label = state.session->session_spec().workload;
-    const bool sharded = state.session->sharded();
-    rtq::engine::Rtdbs& front = sharded ? state.session->cluster().shard(0)
-                                        : state.session->system();
+    rtq::engine::Rtdbs& front = state.session->engine().shard(0);
     result.config = front.config();
-    result.summary = sharded ? state.session->cluster().Summarize()
-                             : front.Summarize();
+    result.summary = state.session->engine().Summarize();
     result.wall_seconds = WallNow();
     emitter.AddResult(result, front.policy().Describe(), /*lambda=*/0.0);
     Status st = emitter.WriteFile(WallNow());

@@ -1,16 +1,17 @@
 // A long-running engine session with deterministic snapshot/restore.
 //
-// ServeSession wraps an engine::Rtdbs built from a SessionSpec genesis
-// and records every state-mutating control command (policy/scenario
-// swaps) in a journal keyed by the event count it was applied at.
-// Because the engine is deterministic, {genesis, journal, position} is a
-// complete serialization of the session: Restore rebuilds the system
-// from genesis, replays the journal at the exact event boundaries,
-// steps to the snapshot position, and verifies the recomputed state
-// digest line-by-line against the snapshot's. A restored session's
-// future trajectory is bit-identical to the uninterrupted original —
-// the invariant tests/test_serve_snapshot.cc pins for every registered
-// policy.
+// ServeSession wraps an engine::ShardedRtdbs built from a SessionSpec
+// genesis — a 1-shard cluster by default, which is bit-identical to a
+// plain engine::Rtdbs — and records every state-mutating control command
+// (policy/scenario swaps) in a journal keyed by the event count it was
+// applied at. Because the engine is deterministic, {genesis, journal,
+// position} is a complete serialization of the session: Restore rebuilds
+// the cluster from genesis, replays the journal at the exact event
+// boundaries, steps to the snapshot position, and verifies the
+// recomputed state digest line-by-line against the snapshot's. A
+// restored session's future trajectory is bit-identical to the
+// uninterrupted original — the invariant tests/test_serve_snapshot.cc
+// pins for every registered policy, sharded and unsharded.
 //
 // Failure discipline: malformed specs, corrupt snapshots, and
 // unreachable positions all surface as Status errors that leave the
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/rtdbs.h"
 #include "engine/sharded_rtdbs.h"
 #include "serve/snapshot.h"
 
@@ -61,25 +61,11 @@ class ServeSession {
   StatusOr<std::string> ApplyScenario(const std::string& spec);
 
   /// Captures {genesis, journal, position, state digest} at this instant.
-  /// Sharded sessions return Unimplemented: the `.rtqs` grammar has no
-  /// shard fields yet, so there is nothing a restore could verify.
-  StatusOr<Snapshot> TakeSnapshot();
+  Snapshot TakeSnapshot() const;
 
-  uint64_t events() {
-    return sharded() ? cluster_->events_dispatched()
-                     : sys_->simulator().events_dispatched();
-  }
-  /// True when the genesis asked for shards > 1; `system()` is then
-  /// invalid and `cluster()` is the engine.
-  bool sharded() const { return cluster_ != nullptr; }
-  engine::Rtdbs& system() {
-    RTQ_CHECK_MSG(!sharded(), "system(): session is sharded, use cluster()");
-    return *sys_;
-  }
-  engine::ShardedRtdbs& cluster() {
-    RTQ_CHECK_MSG(sharded(), "cluster(): session is unsharded, use system()");
-    return *cluster_;
-  }
+  uint64_t events() const { return engine_->events_dispatched(); }
+  /// The cluster this session steps (`session_spec().shards` shards).
+  engine::ShardedRtdbs& engine() { return *engine_; }
   const SessionSpec& session_spec() const { return spec_; }
   const std::vector<JournalEntry>& journal() const { return journal_; }
 
@@ -90,19 +76,15 @@ class ServeSession {
   static StatusOr<engine::SystemConfig> BuildConfig(const SessionSpec& spec);
 
  private:
-  ServeSession(SessionSpec spec, std::unique_ptr<engine::Rtdbs> sys)
-      : spec_(std::move(spec)), sys_(std::move(sys)) {}
-  ServeSession(SessionSpec spec, std::unique_ptr<engine::ShardedRtdbs> cluster)
-      : spec_(std::move(spec)), cluster_(std::move(cluster)) {}
+  ServeSession(SessionSpec spec, std::unique_ptr<engine::ShardedRtdbs> engine)
+      : spec_(std::move(spec)), engine_(std::move(engine)) {}
 
   /// Steps until `target` events have dispatched; Internal error if the
   /// calendar drains first (the snapshot position is unreachable).
   Status StepTo(uint64_t target);
 
   SessionSpec spec_;
-  /// Exactly one of the two engines is set (sys_ unless spec_.shards > 1).
-  std::unique_ptr<engine::Rtdbs> sys_;
-  std::unique_ptr<engine::ShardedRtdbs> cluster_;
+  std::unique_ptr<engine::ShardedRtdbs> engine_;
   std::vector<JournalEntry> journal_;
 };
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "engine/system_config.h"
 #include "workload/trace.h"
 
 namespace rtq::serve {
@@ -130,6 +131,14 @@ std::string SerializeSnapshot(const Snapshot& snapshot) {
   out += "workload " + snapshot.session.workload + "\n";
   out += "policy " + snapshot.session.policy + "\n";
   out += "seed " + std::to_string(snapshot.session.seed) + "\n";
+  const SessionSpec defaults;
+  const SessionSpec& g = snapshot.session;
+  if (g.shards != defaults.shards || g.placement != defaults.placement ||
+      g.admission != defaults.admission) {
+    out += "shards " + std::to_string(g.shards) + "\n";
+    out += "placement " + g.placement + "\n";
+    out += "admission " + g.admission + "\n";
+  }
   out += "journal " + std::to_string(snapshot.journal.size()) + "\n";
   for (const JournalEntry& e : snapshot.journal) {
     out += "j " + std::to_string(e.events) + " " + e.command + " " + e.arg +
@@ -176,7 +185,26 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
       !in.Rest(2).empty())
     return LineError(in.line_no(), "bad seed '" + in.Rest(1) + "'");
 
-  if (!in.Next() || in.Head() != "journal")
+  bool more = in.Next();
+  if (more && in.Head() == "shards") {
+    const uint64_t max_shards = engine::ShardConfig::kMaxShards;
+    uint64_t shards = 0;
+    if (!ParseUint64(in.Token(1), &shards) || !in.Rest(2).empty() ||
+        shards < 1 || shards > max_shards)
+      return LineError(in.line_no(), "bad shard count '" + in.Rest(1) +
+                                         "' (want 1.." +
+                                         std::to_string(max_shards) + ")");
+    snap.session.shards = static_cast<int32_t>(shards);
+    if (!in.Next() || in.Head() != "placement" || in.Rest(1).empty())
+      return LineError(in.line_no(), "expected 'placement <spec>'");
+    snap.session.placement = in.Rest(1);
+    if (!in.Next() || in.Head() != "admission" || in.Rest(1).empty())
+      return LineError(in.line_no(), "expected 'admission <spec>'");
+    snap.session.admission = in.Rest(1);
+    more = in.Next();
+  }
+
+  if (!more || in.Head() != "journal")
     return LineError(in.line_no(), "expected 'journal <count>'");
   uint64_t journal_count = 0;
   if (!ParseUint64(in.Token(1), &journal_count) || !in.Rest(2).empty())

@@ -2,21 +2,23 @@
 //
 // A snapshot is NOT a memory dump. The engine's event calendar holds
 // arbitrary closures that cannot be serialized, so the format records a
-// *recipe* instead: the session genesis (workload/policy/seed — enough
-// to rebuild the identical system), the journal of state-mutating
-// control commands with the exact event count at which each was applied,
-// and the position (event count + simulated clock) the snapshot was
-// taken at. Because the simulation is deterministic, rebuilding from
-// genesis and replaying the journal at the recorded event boundaries
-// reproduces the snapshotted state bit-for-bit — restore-then-continue
-// is indistinguishable from an uninterrupted run.
+// *recipe* instead: the session genesis (workload/policy/seed and the
+// shard shape — enough to rebuild the identical system), the journal of
+// state-mutating control commands with the exact event count at which
+// each was applied, and the position (event count + simulated clock)
+// the snapshot was taken at. Because the simulation is deterministic,
+// rebuilding from genesis and replaying the journal at the recorded
+// event boundaries reproduces the snapshotted state bit-for-bit —
+// restore-then-continue is indistinguishable from an uninterrupted run.
 //
 // The digest section makes that claim checkable rather than assumed:
 // it captures one line per engine state dimension (clock, calendar
 // keys, per-query runtime, CPU/disk/cache, memory manager, policy,
-// source cursors, rng fingerprints — see Rtdbs::AppendStateDigest).
-// Restore recomputes the digest after replay and any differing line
-// fails the restore with a Status error naming it.
+// source cursors, rng fingerprints — see Rtdbs::AppendStateDigest;
+// a multi-shard digest is one such block per shard, each headed by a
+// "shard <i>" line — see ShardedRtdbs::AppendStateDigest). Restore
+// recomputes the digest after replay and any differing line fails the
+// restore with a Status error naming it.
 //
 // Grammar (line-oriented text; '#' starts a comment, blank lines are
 // ignored; tokens are space-separated; mirrors `.rtqt`):
@@ -25,6 +27,9 @@
 //               "workload" SPEC NL
 //               "policy" SPEC NL
 //               "seed" UINT NL
+//               [ "shards" UINT NL               (1..64)
+//                 "placement" SPEC NL
+//                 "admission" SPEC NL ]
 //               "journal" INT NL
 //               ("j" EVENTS ("policy"|"scenario") SPEC NL)*
 //               "position" EVENTS TIME NL
@@ -32,6 +37,8 @@
 //               ("s" TEXT NL)*
 //               "end" NL
 //
+// The shard lines appear only when the genesis differs from the default
+// 1 shard / "hash" / "local", so an unsharded snapshot has none.
 // Journal event counts must be non-decreasing and <= the position's;
 // all structural violations surface as Status errors, never crashes —
 // a corrupt snapshot must not take down a serving process.
@@ -50,15 +57,12 @@ namespace rtq::serve {
 /// The genesis of a serve session: everything needed to rebuild the
 /// identical system from scratch. `workload` uses the serve workload
 /// grammar ("baseline:rate=R" | "multiclass:rate=R" | "scenario:SPEC");
-/// `policy` is a core::PolicyRegistry spec.
+/// `policy` is a core::PolicyRegistry spec; `shards`, `placement` and
+/// `admission` shape the engine::ShardedRtdbs (see engine::ShardConfig).
 struct SessionSpec {
   std::string workload = "baseline:rate=0.06";
   std::string policy = "pmm";
   uint64_t seed = 42;
-  /// Sharded serving (engine::ShardedRtdbs) when shards > 1. Sharded
-  /// sessions run, stream metrics, and accept live reconfig, but do not
-  /// snapshot yet — TakeSnapshot returns Unimplemented, and the `.rtqs`
-  /// grammar deliberately has no shard fields until they do.
   int32_t shards = 1;
   std::string placement = "hash";
   std::string admission = "local";
@@ -81,7 +85,7 @@ struct Snapshot {
   /// Events dispatched / simulated clock at the snapshot instant.
   uint64_t position_events = 0;
   double position_time = 0.0;
-  /// Engine state digest lines (Rtdbs::AppendStateDigest), verified
+  /// Engine state digest lines (ShardedRtdbs::AppendStateDigest), verified
   /// line-by-line after a restore replay.
   std::vector<std::string> digest;
 };
@@ -98,8 +102,9 @@ bool operator!=(const Snapshot& a, const Snapshot& b);
 std::string SerializeSnapshot(const Snapshot& snapshot);
 
 /// Parses `.rtqs` text. Malformed input — bad or missing version header,
-/// truncated sections, non-numeric fields, out-of-order journal events,
-/// count mismatches, a missing "end" — returns an InvalidArgument Status
+/// truncated sections, non-numeric fields, a shard count outside
+/// 1..64, out-of-order journal events, count mismatches, a missing
+/// "end" — returns an InvalidArgument Status
 /// naming the offending line.
 StatusOr<Snapshot> ParseSnapshot(const std::string& text);
 

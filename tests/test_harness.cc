@@ -93,25 +93,15 @@ TEST(PaperExperiments, PolicyLabels) {
   EXPECT_EQ(PolicyLabel({"pmm-fair:w=1,2"}), "PMM-Fair");
   EXPECT_EQ(PolicyLabel({"none"}), "None");
   EXPECT_EQ(PolicyLabel({"oracle-ed"}), "Oracle-ED");
-
-  // Deprecated enum configs resolve to the same labels.
-  engine::PolicyConfig p;
-  p.kind = engine::PolicyKind::kMinMaxN;
-  p.mpl_limit = 10;
-  EXPECT_EQ(PolicyLabel(p), "MinMax-10");
-  p.kind = engine::PolicyKind::kMax;
-  EXPECT_EQ(PolicyLabel(p), "Max");
-  p.max_bypass = false;
-  EXPECT_EQ(PolicyLabel(p), "Max(strict)");
 }
 
 TEST(PaperExperiments, BaselinePoliciesCoverThePaper) {
   auto policies = BaselinePolicies();
   ASSERT_EQ(policies.size(), 4u);
-  EXPECT_EQ(policies[0].ResolvedSpec(), "max");
-  EXPECT_EQ(policies[1].ResolvedSpec(), "minmax");
-  EXPECT_EQ(policies[2].ResolvedSpec(), "prop");
-  EXPECT_EQ(policies[3].ResolvedSpec(), "pmm");
+  EXPECT_EQ(policies[0].spec, "max");
+  EXPECT_EQ(policies[1].spec, "minmax");
+  EXPECT_EQ(policies[2].spec, "prop");
+  EXPECT_EQ(policies[3].spec, "pmm");
 }
 
 TEST(PaperExperiments, PoliciesOrDefaultHonoursEnvironment) {
@@ -120,20 +110,20 @@ TEST(PaperExperiments, PoliciesOrDefaultHonoursEnvironment) {
   unsetenv("RTQ_POLICIES");
   auto defaults = PoliciesOrDefault(BaselinePolicies());
   ASSERT_EQ(defaults.size(), 4u);
-  EXPECT_EQ(defaults[0].ResolvedSpec(), "max");
+  EXPECT_EQ(defaults[0].spec, "max");
 
   setenv("RTQ_POLICIES", "pmm,none", 1);
   auto overridden = PoliciesOrDefault(BaselinePolicies());
   ASSERT_EQ(overridden.size(), 2u);
-  EXPECT_EQ(overridden[0].ResolvedSpec(), "pmm");
-  EXPECT_EQ(overridden[1].ResolvedSpec(), "none");
+  EXPECT_EQ(overridden[0].spec, "pmm");
+  EXPECT_EQ(overridden[1].spec, "none");
 
   // A weight list's commas stay inside the previous spec.
   setenv("RTQ_POLICIES", "pmm-fair:w=1,2,max", 1);
   auto with_weights = PoliciesOrDefault(BaselinePolicies());
   ASSERT_EQ(with_weights.size(), 2u);
-  EXPECT_EQ(with_weights[0].ResolvedSpec(), "pmm-fair:w=1,2");
-  EXPECT_EQ(with_weights[1].ResolvedSpec(), "max");
+  EXPECT_EQ(with_weights[0].spec, "pmm-fair:w=1,2");
+  EXPECT_EQ(with_weights[1].spec, "max");
 
   if (old != nullptr) {
     setenv("RTQ_POLICIES", old, 1);

@@ -165,11 +165,10 @@ TEST(ParsePolicyList, RejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Compat shim: deprecated PolicyKind configs must behave identically to
-// their spec-string equivalents.
+// Trajectory helpers
 // ---------------------------------------------------------------------------
 
-engine::SystemConfig ShimConfig(engine::PolicyConfig policy) {
+engine::SystemConfig SmallBaseline(engine::PolicyConfig policy) {
   return harness::BaselineConfig(0.06, policy, /*seed=*/42);
 }
 
@@ -182,43 +181,6 @@ std::tuple<uint64_t, int64_t, int64_t, double> Fingerprint(
   engine::SystemSummary s = sys.value()->Summarize();
   return {s.events_dispatched, s.overall.completions, s.overall.misses,
           s.overall.avg_exec};
-}
-
-TEST(PolicyKindShim, EnumAndSpecConfigsProduceIdenticalRuns) {
-  struct Case {
-    engine::PolicyKind kind;
-    int64_t mpl_limit;
-    bool max_bypass;
-    std::vector<double> fair_weights;
-    const char* spec;
-  };
-  const Case cases[] = {
-      {engine::PolicyKind::kMax, -1, true, {}, "max"},
-      {engine::PolicyKind::kMax, -1, false, {}, "max:strict"},
-      {engine::PolicyKind::kMinMax, -1, true, {}, "minmax"},
-      {engine::PolicyKind::kMinMaxN, 4, true, {}, "minmax:4"},
-      {engine::PolicyKind::kProportional, -1, true, {}, "prop"},
-      {engine::PolicyKind::kProportionalN, 4, true, {}, "prop:4"},
-      {engine::PolicyKind::kPmm, -1, true, {}, "pmm"},
-      {engine::PolicyKind::kPmmFair, -1, true, {1.0}, "pmm-fair:w=1"},
-  };
-  for (const Case& c : cases) {
-    engine::PolicyConfig legacy;
-    legacy.kind = c.kind;
-    legacy.mpl_limit = c.mpl_limit;
-    legacy.max_bypass = c.max_bypass;
-    legacy.fair_weights = c.fair_weights;
-    EXPECT_EQ(legacy.ResolvedSpec(), c.spec);
-    EXPECT_EQ(Fingerprint(ShimConfig(legacy)),
-              Fingerprint(ShimConfig({c.spec})))
-        << c.spec;
-  }
-}
-
-TEST(PolicyKindShim, ExplicitSpecWinsOverEnumFields) {
-  engine::PolicyConfig config{"minmax"};
-  config.kind = engine::PolicyKind::kMax;  // deprecated field: ignored
-  EXPECT_EQ(config.ResolvedSpec(), "minmax");
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +205,7 @@ TEST(PluginPolicies, NoneAdmitsImmediatelyFcfs) {
 TEST(PluginPolicies, OracleNeverSpendsOnInfeasibleQueries) {
   // A margin so large that no query ever looks feasible: the oracle
   // admits nothing and every query ages out at its deadline.
-  auto sys = engine::Rtdbs::Create(ShimConfig({"oracle-ed:m=1000"}));
+  auto sys = engine::Rtdbs::Create(SmallBaseline({"oracle-ed:m=1000"}));
   ASSERT_TRUE(sys.ok());
   sys.value()->RunUntil(1800.0);
   engine::SystemSummary s = sys.value()->Summarize();
@@ -283,7 +245,7 @@ TEST(PluginPolicies, PmmClassRejectsTargetCountMismatch) {
 TEST(PluginPolicies, EdfShedNeverSpendsOnInfeasibleQueries) {
   // A margin so large that nothing ever looks feasible: every query is
   // shed and ages out at its deadline, exactly like the oracle bound.
-  auto sys = engine::Rtdbs::Create(ShimConfig({"edf-shed:m=1000"}));
+  auto sys = engine::Rtdbs::Create(SmallBaseline({"edf-shed:m=1000"}));
   ASSERT_TRUE(sys.ok());
   sys.value()->RunUntil(1800.0);
   engine::SystemSummary s = sys.value()->Summarize();

@@ -92,7 +92,7 @@ TEST(ControlFailure, RejectedPolicySwapLeavesStateBitIdentical) {
   s.RunEvents(2000);
 
   std::vector<std::string> before;
-  s.system().AppendStateDigest(&before);
+  s.engine().AppendStateDigest(&before);
 
   // Unknown policy name and malformed parameter: both must fail at the
   // registry Create stage without touching the engine.
@@ -105,7 +105,7 @@ TEST(ControlFailure, RejectedPolicySwapLeavesStateBitIdentical) {
   EXPECT_TRUE(s.journal().empty());
 
   std::vector<std::string> after;
-  s.system().AppendStateDigest(&after);
+  s.engine().AppendStateDigest(&after);
   EXPECT_EQ(before, after);
 }
 
@@ -116,7 +116,7 @@ TEST(ControlFailure, RejectedScenarioSwapLeavesStateBitIdentical) {
   s.RunEvents(2000);
 
   std::vector<std::string> before;
-  s.system().AppendStateDigest(&before);
+  s.engine().AppendStateDigest(&before);
 
   // Unknown scenario, and a well-formed one whose class count does not
   // match the baseline's single-class workload.
@@ -127,7 +127,7 @@ TEST(ControlFailure, RejectedScenarioSwapLeavesStateBitIdentical) {
   EXPECT_TRUE(s.journal().empty());
 
   std::vector<std::string> after;
-  s.system().AppendStateDigest(&after);
+  s.engine().AppendStateDigest(&after);
   EXPECT_EQ(before, after);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -76,6 +77,26 @@ TEST(ShardConfigValidate, AcceptsGoodSpecsRejectsBadOnes) {
   bad = good;
   bad.admission = "global:mpl=0";
   EXPECT_FALSE(bad.Validate().ok());
+
+  // Shard counts reach ShardConfig from `--shards` and `.rtqs` files, so
+  // an absurd count must fail validation, and Create, before any engine
+  // is built.
+  bad = good;
+  bad.num_shards = ShardConfig::kMaxShards;
+  EXPECT_TRUE(bad.Validate().ok());
+  for (int32_t n : {ShardConfig::kMaxShards + 1, 1 << 20,
+                    std::numeric_limits<int32_t>::max()}) {
+    bad.num_shards = n;
+    Status s = bad.Validate();
+    ASSERT_FALSE(s.ok()) << n;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << n;
+    EXPECT_NE(s.message().find("num_shards"), std::string::npos)
+        << s.message();
+    EXPECT_FALSE(ShardedRtdbs::Create(
+                     harness::BaselineConfig(0.06, {"pmm"}, 42), bad)
+                     .ok())
+        << n;
+  }
 }
 
 TEST(ShardConfigValidate, AdmissionSpecParses) {
@@ -167,8 +188,20 @@ TEST(ShardPlacement, RejectsMalformedSpecs) {
 // shards=1 ≡ unsharded (the bit-identity pin)
 // ---------------------------------------------------------------------------
 
+void ExpectSameClass(const ClassSummary& a, const ClassSummary& b) {
+  EXPECT_EQ(a.completions, b.completions);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.miss_ratio, b.miss_ratio);
+  EXPECT_EQ(a.avg_wait, b.avg_wait);
+  EXPECT_EQ(a.avg_exec, b.avg_exec);
+  EXPECT_EQ(a.avg_response, b.avg_response);
+  EXPECT_EQ(a.avg_fluctuations, b.avg_fluctuations);
+}
+
 TEST(ShardedRtdbs, OneShardIsBitIdenticalToPlainRtdbs) {
   SystemConfig config = harness::BaselineConfig(0.06, {"pmm"}, 42);
+  // Small batches, so the batch-means miss CI has samples to compare.
+  config.miss_ci_batch = 10;
 
   auto plain = Rtdbs::Create(config);
   ASSERT_TRUE(plain.ok());
@@ -181,21 +214,35 @@ TEST(ShardedRtdbs, OneShardIsBitIdenticalToPlainRtdbs) {
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
   cluster.value()->RunUntil(1800.0);
 
+  // The cluster digest itself, not just shard 0's: a 1-shard cluster
+  // digests with no "shard" header, as unsharded snapshots require.
   std::vector<std::string> a, b;
   plain.value()->AppendStateDigest(&a);
-  cluster.value()->shard(0).AppendStateDigest(&b);
+  cluster.value()->AppendStateDigest(&b);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "digest line " << i;
   }
 
+  // Every summary field, compared exactly (not within ULPs).
   SystemSummary sp = plain.value()->Summarize();
   SystemSummary sc = cluster.value()->Summarize();
-  EXPECT_EQ(sp.overall.completions, sc.overall.completions);
-  EXPECT_EQ(sp.overall.misses, sc.overall.misses);
+  ExpectSameClass(sp.overall, sc.overall);
+  ASSERT_EQ(sp.per_class.size(), sc.per_class.size());
+  for (size_t c = 0; c < sp.per_class.size(); ++c) {
+    SCOPED_TRACE("class " + std::to_string(c));
+    ExpectSameClass(sp.per_class[c], sc.per_class[c]);
+  }
+  EXPECT_EQ(sp.avg_mpl, sc.avg_mpl);
+  EXPECT_EQ(sp.cpu_utilization, sc.cpu_utilization);
+  EXPECT_EQ(sp.avg_disk_utilization, sc.avg_disk_utilization);
+  EXPECT_EQ(sp.max_disk_utilization, sc.max_disk_utilization);
+  EXPECT_GT(sp.miss_ratio_ci.num_batches, 0);
+  EXPECT_EQ(sp.miss_ratio_ci.mean, sc.miss_ratio_ci.mean);
+  EXPECT_EQ(sp.miss_ratio_ci.half_width, sc.miss_ratio_ci.half_width);
+  EXPECT_EQ(sp.miss_ratio_ci.num_batches, sc.miss_ratio_ci.num_batches);
   EXPECT_EQ(sp.events_dispatched, sc.events_dispatched);
-  EXPECT_DOUBLE_EQ(sp.avg_mpl, sc.avg_mpl);
-  EXPECT_DOUBLE_EQ(sp.cpu_utilization, sc.cpu_utilization);
+  EXPECT_EQ(sp.simulated_time, sc.simulated_time);
   EXPECT_EQ(cluster.value()->shard(0).routed_elsewhere(), 0);
 }
 
