@@ -16,6 +16,7 @@
 #include "core/memory_manager.h"
 #include "core/policy_registry.h"
 #include "core/strategy.h"
+#include "engine/metrics.h"
 #include "model/disk.h"
 #include "model/disk_geometry.h"
 #include "sim/event_queue.h"
@@ -379,5 +380,32 @@ void BM_InlineCallbackDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InlineCallbackDispatch);
+
+// One `stats` reply's summary over a run with range(0) finished queries
+// in three classes: the cost rtq_serve pays per command, which must not
+// grow with the run's length.
+void BM_Summarize(benchmark::State& state) {
+  constexpr int32_t kClasses = 3;
+  rtq::Rng rng(14);
+  rtq::engine::MetricsCollector metrics(/*miss_ci_batch=*/200, kClasses);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    rtq::engine::CompletionRecord r;
+    r.info.id = i;
+    r.info.query_class = static_cast<int32_t>(rng.UniformInt(0, kClasses - 1));
+    r.info.missed = rng.NextDouble() < 0.2;
+    r.info.admission_wait = rng.Uniform(0.0, 10.0);
+    r.info.execution_time = rng.Uniform(0.0, 30.0);
+    r.mem_fluctuations = rng.UniformInt(0, 5);
+    metrics.Record(r);
+  }
+  rtq::engine::ClassSummary overall;
+  std::vector<rtq::engine::ClassSummary> per_class;
+  for (auto _ : state) {
+    metrics.Summarize(&overall, &per_class);
+    benchmark::DoNotOptimize(overall);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Summarize)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace

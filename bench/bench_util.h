@@ -26,9 +26,13 @@ inline std::string Pct(double v) {
   return harness::TablePrinter::Percent(v, 1);
 }
 
+/// The rule line above and below the experiment banner.
+inline constexpr char kBannerRule[] =
+    "================================================================";
+
 /// Prints the standard experiment banner.
 inline void Banner(const char* title, const char* paper_ref) {
-  std::printf("================================================================\n");
+  std::printf("%s\n", kBannerRule);
   std::printf("%s\n", title);
   std::printf("reproduces: %s\n", paper_ref);
   std::printf("simulated duration per point: %.1f hours "
@@ -36,7 +40,7 @@ inline void Banner(const char* title, const char* paper_ref) {
               harness::ExperimentDuration() / 3600.0);
   std::printf("parallel jobs: %d (override with RTQ_BENCH_JOBS)\n",
               harness::BenchJobs());
-  std::printf("================================================================\n\n");
+  std::printf("%s\n\n", kBannerRule);
 }
 
 /// Wall-clock stopwatch around a sweep.

@@ -180,7 +180,9 @@ class Rtdbs::ProbeImpl : public core::SystemProbe {
 // ---------------------------------------------------------------------------
 
 Rtdbs::Rtdbs(const SystemConfig& config)
-    : config_(config), metrics_(config.miss_ci_batch) {}
+    : config_(config),
+      metrics_(config.miss_ci_batch,
+               static_cast<int32_t>(config.workload.classes.size())) {}
 
 Rtdbs::~Rtdbs() = default;
 
@@ -727,8 +729,7 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
 SystemSummary Rtdbs::Summarize() const {
   SimTime now = sim_.Now();
   SystemSummary s;
-  metrics_.Summarize(static_cast<int32_t>(config_.workload.classes.size()),
-                     &s.overall, &s.per_class);
+  metrics_.Summarize(&s.overall, &s.per_class);
   s.avg_mpl = metrics_.AverageMpl(now);
   s.cpu_utilization = now > 0.0 ? cpu_->busy_seconds(now) / now : 0.0;
   double sum = 0.0, mx = 0.0;

@@ -52,6 +52,7 @@ StatusOr<std::unique_ptr<ShardedRtdbs>> ShardedRtdbs::Create(
         shards.num_shards, cap.value());
   }
   sys->shards_.reserve(static_cast<size_t>(shards.num_shards));
+  sys->heads_.resize(static_cast<size_t>(shards.num_shards));
   for (int32_t s = 0; s < shards.num_shards; ++s) {
     SystemConfig cfg = base;
     cfg.shard.index = s;
@@ -71,41 +72,45 @@ void ShardedRtdbs::Start() {
   for (auto& shard : shards_) shard->Start();
 }
 
-int32_t ShardedRtdbs::NextShard(SimTime horizon) const {
-  int32_t best = -1;
-  SimTime best_time = 0.0;
-  for (int32_t s = 0; s < num_shards(); ++s) {
-    const sim::EventQueue& q =
-        shards_[static_cast<size_t>(s)]->simulator().queue();
-    if (q.Empty()) continue;
-    SimTime t = q.PeekTime();
-    if (t > horizon) continue;
-    if (best < 0 || t < best_time) {
-      best = s;
-      best_time = t;
+void ShardedRtdbs::Peek(size_t s) {
+  const sim::EventQueue& q = shards_[s]->simulator().queue();
+  heads_[s].pending = !q.Empty();
+  if (heads_[s].pending) heads_[s].time = q.PeekTime();
+}
+
+uint64_t ShardedRtdbs::RunMerged(SimTime horizon, uint64_t max_events) {
+  Start();
+  for (size_t s = 0; s < shards_.size(); ++s) Peek(s);
+  uint64_t stepped = 0;
+  while (stepped < max_events) {
+    size_t best = shards_.size();
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const Head& h = heads_[s];
+      if (!h.pending || h.time > horizon) continue;
+      if (best == shards_.size() || h.time < heads_[best].time) best = s;
     }
+    if (best == shards_.size()) break;
+    shards_[best]->StepEvent();
+    ++stepped;
+    // Only the stepped shard's calendar can have changed: shards share
+    // no events, and the coordinator wakes no other shard.
+    Peek(best);
   }
-  return best;
+  return stepped;
 }
 
 void ShardedRtdbs::RunUntil(SimTime until) {
-  Start();
-  for (;;) {
-    int32_t s = NextShard(until);
-    if (s < 0) break;
-    shards_[static_cast<size_t>(s)]->StepEvent();
-  }
+  RunMerged(until, std::numeric_limits<uint64_t>::max());
   // Every pending event now lies beyond the horizon; align each shard's
   // clock to it, exactly as Rtdbs::RunUntil does for a lone engine.
   for (auto& shard : shards_) shard->RunUntil(until);
 }
 
-bool ShardedRtdbs::StepEvent() {
-  Start();
-  int32_t s = NextShard(std::numeric_limits<SimTime>::infinity());
-  if (s < 0) return false;
-  return shards_[static_cast<size_t>(s)]->StepEvent();
+uint64_t ShardedRtdbs::RunEvents(uint64_t n) {
+  return RunMerged(std::numeric_limits<SimTime>::infinity(), n);
 }
+
+bool ShardedRtdbs::StepEvent() { return RunEvents(1) == 1; }
 
 SimTime ShardedRtdbs::Now() const {
   SimTime now = 0.0;

@@ -61,9 +61,13 @@ class ShardedRtdbs {
   /// Starts every shard's arrival stream and samplers. Idempotent.
   void Start();
 
-  /// Dispatches exactly one event — the earliest pending across all
-  /// shards, lowest shard index on ties. Returns false when every shard's
-  /// calendar is empty.
+  /// Dispatches up to `n` events on the merged clock, each the earliest
+  /// pending across all shards (lowest shard index on ties). Returns how
+  /// many dispatched: fewer only when every shard's calendar is empty.
+  uint64_t RunEvents(uint64_t n);
+
+  /// Dispatches exactly one event (RunEvents(1)). Returns false when
+  /// every shard's calendar is empty.
   bool StepEvent();
 
   /// Latest shard clock (== the RunUntil horizon after a run).
@@ -112,9 +116,20 @@ class ShardedRtdbs {
  private:
   ShardedRtdbs() = default;
 
-  /// Shard owning the earliest pending event at or before `horizon`
-  /// (ties -> lowest index); -1 when none qualifies.
-  int32_t NextShard(SimTime horizon) const;
+  /// A shard's earliest pending event time, cached by the merged loop.
+  struct Head {
+    SimTime time = 0.0;
+    bool pending = false;
+  };
+
+  /// Refreshes heads_[s] from shard s's calendar.
+  void Peek(size_t s);
+
+  /// The merged loop behind RunUntil and RunEvents: dispatches the
+  /// earliest pending event at or before `horizon` (ties -> lowest
+  /// shard index) until none qualifies or `max_events` dispatched.
+  /// Peeks every shard once, then after each step only the stepped one.
+  uint64_t RunMerged(SimTime horizon, uint64_t max_events);
 
   ShardConfig shard_config_;
   std::unique_ptr<workload::ShardPlacement> placement_;
@@ -122,6 +137,8 @@ class ShardedRtdbs {
   /// Declared after placement_/coordinator_: shards hold raw pointers to
   /// both and must be destroyed first.
   std::vector<std::unique_ptr<Rtdbs>> shards_;
+  /// One per shard, sized at Create so the merged loop never allocates.
+  std::vector<Head> heads_;
   bool started_ = false;
 };
 

@@ -58,9 +58,9 @@ using rtq::serve::ServeSession;
 using rtq::serve::SessionSpec;
 using rtq::serve::Snapshot;
 
-/// Events stepped between control-channel polls; small enough that a
-/// live command takes effect within milliseconds at max speed.
-constexpr uint64_t kBatchEvents = 4096;
+/// Most events stepped between control-channel polls: a live command
+/// waits behind at most this many events (~0.1 ms at max speed).
+constexpr uint64_t kSliceEvents = 256;
 
 double WallNow() {
   using Clock = std::chrono::steady_clock;
@@ -116,17 +116,20 @@ struct ServeState {
   bool AtCap() { return max_events > 0 && session->events() >= max_events; }
 
   /// Steps up to `n` events (respecting the --max-events cap), emitting
-  /// metrics lines as event thresholds are crossed. Returns the number
-  /// of events actually dispatched.
+  /// a metrics line at each multiple of --metrics-every: a run stops at
+  /// the next threshold, so the stream does not depend on how the
+  /// events were sliced. Returns the number of events dispatched.
   uint64_t Step(uint64_t n) {
     uint64_t total = 0;
     while (total < n && !AtCap()) {
-      uint64_t want = std::min(n - total, kBatchEvents);
+      uint64_t want = n - total;
       if (max_events > 0)
         want = std::min(want, max_events - session->events());
+      if (metrics_every > 0)
+        want = std::min(want, next_metrics - session->events());
       uint64_t got = session->RunEvents(want);
       total += got;
-      while (metrics_every > 0 && session->events() >= next_metrics) {
+      if (metrics_every > 0 && session->events() == next_metrics) {
         EmitMetrics();
         next_metrics += static_cast<uint64_t>(metrics_every);
       }
@@ -278,7 +281,7 @@ int RunInteractive(ServeState& state, double pace) {
     // 1) Step the engine.
     uint64_t stepped = 0;
     if (!state.AtCap()) {
-      uint64_t want = kBatchEvents;
+      uint64_t want = kSliceEvents;
       if (pace > 0.0) {
         // Paced: never let the simulated clock outrun
         // sim_start + pace * elapsed wall seconds.

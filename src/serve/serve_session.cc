@@ -129,11 +129,7 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
   return s;
 }
 
-uint64_t ServeSession::RunEvents(uint64_t n) {
-  uint64_t stepped = 0;
-  while (stepped < n && engine_->StepEvent()) ++stepped;
-  return stepped;
-}
+uint64_t ServeSession::RunEvents(uint64_t n) { return engine_->RunEvents(n); }
 
 engine::PolicySwapOutcome ServeSession::ApplyPolicy(const std::string& spec) {
   engine::PolicySwapOutcome out = engine_->SwapPolicy(spec);
@@ -163,12 +159,11 @@ Snapshot ServeSession::TakeSnapshot() const {
 }
 
 Status ServeSession::StepTo(uint64_t target) {
-  while (events() < target) {
-    if (!engine_->StepEvent())
-      return Status::Internal(
-          "snapshot position unreachable: event calendar drained at " +
-          std::to_string(events()) + " of " + std::to_string(target));
-  }
+  if (events() < target) engine_->RunEvents(target - events());
+  if (events() < target)
+    return Status::Internal(
+        "snapshot position unreachable: event calendar drained at " +
+        std::to_string(events()) + " of " + std::to_string(target));
   return Status::Ok();
 }
 

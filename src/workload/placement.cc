@@ -45,8 +45,9 @@ StatusOr<ShardPlacement> ShardPlacement::Make(const std::string& spec,
     p.kind_ = Kind::kSkew;
     if (!args.empty()) {
       if (args.rfind("hot=", 0) != 0)
-        return Status::InvalidArgument("placement \"skew\": unknown argument \"" +
-                                       args + "\" (want hot=F)");
+        return Status::InvalidArgument(
+            "placement \"skew\": unknown argument \"" + args +
+            "\" (want hot=F)");
       char* end = nullptr;
       const char* value = args.c_str() + 4;
       double hot = std::strtod(value, &end);

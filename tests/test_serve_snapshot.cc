@@ -15,6 +15,7 @@
 #include "engine/system_config.h"
 #include "gtest/gtest.h"
 #include "serve/serve_session.h"
+#include "summary_testing.h"
 #include "workload/scenario_registry.h"
 
 namespace rtq::serve {
@@ -158,7 +159,7 @@ TEST(SnapshotFormat, StructuralViolationsAreStatusErrors) {
 TEST(SnapshotFormat, FileRoundTripAndMissingFile) {
   Snapshot snap = SampleSnapshot();
   std::string path =
-      testing::TempDir() + "/rtq_serve_snapshot_test/roundtrip.rtqs";
+      ::testing::TempDir() + "/rtq_serve_snapshot_test/roundtrip.rtqs";
   ASSERT_TRUE(WriteSnapshotFile(snap, path).ok());
   auto read = ReadSnapshotFile(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -206,10 +207,21 @@ TEST(SnapshotFuzz, CorruptedInputNeverCrashes) {
 
 // --- the headline invariant --------------------------------------------
 
+/// Events before the property tests snapshot. Probed so that, on every
+/// workload below, each PMM-driven policy has adapted (baseline:rate=0.08
+/// first adapts near 95k events, mixshift near 102k, the 2-shard capped
+/// cluster near 182k): the replay then has to rebuild adapted MPL
+/// targets, `select` arm statistics and `pmm-predict` forecasts, not
+/// just a cold start.
+constexpr uint64_t kAdaptedEvents = 120000;
+constexpr uint64_t kAdaptedClusterEvents = 200000;
+
 /// Runs `spec` for `before` events, snapshots (through the text format,
 /// so serialization is part of the proof), continues `after` events and
 /// digests; then restores the snapshot into a fresh session, continues
-/// `after` events and digests. Both digests must be identical.
+/// `after` events and digests. Both digests, and both summaries, must be
+/// identical. Every PMM controller must have adapted, and a capped
+/// cluster's coordinator must have refused, before the snapshot.
 void ExpectZeroDriftRestore(const SessionSpec& spec, uint64_t before,
                             uint64_t after) {
   SCOPED_TRACE(spec.workload + " / " + spec.policy + " / shards=" +
@@ -217,6 +229,15 @@ void ExpectZeroDriftRestore(const SessionSpec& spec, uint64_t before,
   auto original = ServeSession::Create(spec);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   ASSERT_EQ(original.value()->RunEvents(before), before);
+  engine::ShardedRtdbs& cluster = original.value()->engine();
+  for (int32_t s = 0; s < cluster.num_shards(); ++s) {
+    if (const core::PmmController* pmm = cluster.shard(s).pmm()) {
+      ASSERT_GT(pmm->adaptations(), 0) << "shard " << s;
+    }
+  }
+  if (cluster.coordinator() != nullptr) {
+    ASSERT_GT(cluster.coordinator()->refusals(), 0);
+  }
 
   auto snapshot =
       ParseSnapshot(SerializeSnapshot(original.value()->TakeSnapshot()));
@@ -225,7 +246,7 @@ void ExpectZeroDriftRestore(const SessionSpec& spec, uint64_t before,
 
   ASSERT_EQ(original.value()->RunEvents(after), after);
   std::vector<std::string> uninterrupted;
-  original.value()->engine().AppendStateDigest(&uninterrupted);
+  cluster.AppendStateDigest(&uninterrupted);
 
   auto restored = ServeSession::Restore(snapshot.value());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -234,6 +255,9 @@ void ExpectZeroDriftRestore(const SessionSpec& spec, uint64_t before,
   restored.value()->engine().AppendStateDigest(&resumed);
 
   EXPECT_EQ(uninterrupted, resumed);
+  // Restore rebuilds the summary accumulators by replay.
+  testing::ExpectSameSummary(cluster.Summarize(),
+                             restored.value()->engine().Summarize());
 }
 
 // Every registered policy, on the baseline workload, on a scenario
@@ -247,26 +271,21 @@ TEST(SnapshotProperty, EveryPolicyRestoresWithZeroDrift) {
     SessionSpec baseline;
     baseline.workload = "baseline:rate=0.08";
     baseline.policy = policy;
-    ExpectZeroDriftRestore(baseline, 3000, 2000);
+    ExpectZeroDriftRestore(baseline, kAdaptedEvents, 2000);
 
     SessionSpec scenario;
     scenario.workload = "scenario:diurnal";
     scenario.policy = policy;
-    ExpectZeroDriftRestore(scenario, 3000, 2000);
+    ExpectZeroDriftRestore(scenario, kAdaptedEvents, 2000);
 
+    // The cap binds before the snapshot point, so the replay covers
+    // coordinator refusals, not just two independent shards.
     SessionSpec cluster;
     cluster.workload = "baseline:rate=0.12";
     cluster.policy = policy;
     cluster.shards = 2;
     cluster.admission = "global:mpl=2";
-    ExpectZeroDriftRestore(cluster, 10000, 5000);
-    // The cap binds before the snapshot point, so the replay covers
-    // coordinator refusals, not just two independent shards.
-    auto session = ServeSession::Create(cluster);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    session.value()->RunEvents(10000);
-    EXPECT_GT(session.value()->engine().coordinator()->refusals(), 0)
-        << policy;
+    ExpectZeroDriftRestore(cluster, kAdaptedClusterEvents, 5000);
   }
 }
 
@@ -280,7 +299,7 @@ TEST(SnapshotProperty, EveryScenarioRestoresWithZeroDrift) {
     SessionSpec spec;
     spec.workload = "scenario:" + scenario;
     spec.policy = "pmm";
-    ExpectZeroDriftRestore(spec, 3000, 2000);
+    ExpectZeroDriftRestore(spec, kAdaptedEvents, 2000);
   }
 }
 

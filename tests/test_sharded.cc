@@ -18,6 +18,7 @@
 #include "engine/sharded_rtdbs.h"
 #include "engine/system_config.h"
 #include "harness/paper_experiments.h"
+#include "summary_testing.h"
 #include "workload/placement.h"
 
 namespace rtq::engine {
@@ -188,16 +189,6 @@ TEST(ShardPlacement, RejectsMalformedSpecs) {
 // shards=1 ≡ unsharded (the bit-identity pin)
 // ---------------------------------------------------------------------------
 
-void ExpectSameClass(const ClassSummary& a, const ClassSummary& b) {
-  EXPECT_EQ(a.completions, b.completions);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.miss_ratio, b.miss_ratio);
-  EXPECT_EQ(a.avg_wait, b.avg_wait);
-  EXPECT_EQ(a.avg_exec, b.avg_exec);
-  EXPECT_EQ(a.avg_response, b.avg_response);
-  EXPECT_EQ(a.avg_fluctuations, b.avg_fluctuations);
-}
-
 TEST(ShardedRtdbs, OneShardIsBitIdenticalToPlainRtdbs) {
   SystemConfig config = harness::BaselineConfig(0.06, {"pmm"}, 42);
   // Small batches, so the batch-means miss CI has samples to compare.
@@ -226,23 +217,8 @@ TEST(ShardedRtdbs, OneShardIsBitIdenticalToPlainRtdbs) {
 
   // Every summary field, compared exactly (not within ULPs).
   SystemSummary sp = plain.value()->Summarize();
-  SystemSummary sc = cluster.value()->Summarize();
-  ExpectSameClass(sp.overall, sc.overall);
-  ASSERT_EQ(sp.per_class.size(), sc.per_class.size());
-  for (size_t c = 0; c < sp.per_class.size(); ++c) {
-    SCOPED_TRACE("class " + std::to_string(c));
-    ExpectSameClass(sp.per_class[c], sc.per_class[c]);
-  }
-  EXPECT_EQ(sp.avg_mpl, sc.avg_mpl);
-  EXPECT_EQ(sp.cpu_utilization, sc.cpu_utilization);
-  EXPECT_EQ(sp.avg_disk_utilization, sc.avg_disk_utilization);
-  EXPECT_EQ(sp.max_disk_utilization, sc.max_disk_utilization);
   EXPECT_GT(sp.miss_ratio_ci.num_batches, 0);
-  EXPECT_EQ(sp.miss_ratio_ci.mean, sc.miss_ratio_ci.mean);
-  EXPECT_EQ(sp.miss_ratio_ci.half_width, sc.miss_ratio_ci.half_width);
-  EXPECT_EQ(sp.miss_ratio_ci.num_batches, sc.miss_ratio_ci.num_batches);
-  EXPECT_EQ(sp.events_dispatched, sc.events_dispatched);
-  EXPECT_EQ(sp.simulated_time, sc.simulated_time);
+  testing::ExpectSameSummary(sp, cluster.value()->Summarize());
   EXPECT_EQ(cluster.value()->shard(0).routed_elsewhere(), 0);
 }
 
